@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -95,42 +96,26 @@ class ExperimentConfig:
     probe_steps: int = 2000
 
 
-def _parse_float(s):
-    return float(s)
-
-
 def _parse_int(s):
     v = float(s)
-    if v != int(v):
+    if not v.is_integer():
         raise ValueError("not an integer")
     return int(v)
 
 
-def _parse_floats(s):
-    return [float(tok) for tok in s.replace(",", " ").split()]
+def _parse_list(item, s):
+    return [item(tok) for tok in s.replace(",", " ").split()]
 
 
-def _parse_ints(s):
-    return [_parse_int(tok) for tok in s.replace(",", " ").split()]
-
-
-def _parse_strs(s):
-    return [tok for tok in s.replace(",", " ").split()]
-
-
-_PARSERS = {
-    "experiment": str, "seed": _parse_int, "mode": str, "max_iters": _parse_int,
-    "out_dir": str, "epsilon": _parse_float, "delta": _parse_float,
-    "beta": _parse_float, "rho": _parse_float, "rho_hat": _parse_float,
-    "eta": _parse_float, "r": _parse_float, "g_thres": _parse_float,
-    "f_thres": _parse_float, "t_thres": _parse_int, "c_hat": _parse_float,
-    "f_gap": _parse_float, "curvature": _parse_float, "injectivity": _parse_float,
-    "diag": _parse_floats, "x0": str, "k": _parse_int, "h_diag": _parse_floats,
-    "h_file": str, "x0_cols": _parse_ints, "dim_d": _parse_int, "p": _parse_int,
-    "block": _parse_int, "a_file": str, "manifold": str, "n": _parse_int,
-    "checks": _parse_strs, "n_samples": _parse_int, "scales": _parse_floats,
-    "mu": _parse_float, "probe_steps": _parse_int,
+# one parser per field type; field annotations are strings under
+# `from __future__ import annotations`
+_TYPE_PARSERS = {
+    "str": str, "int": _parse_int, "float": float,
+    "list[str]": partial(_parse_list, str), "list[int]": partial(_parse_list, _parse_int),
+    "list[float]": partial(_parse_list, float),
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
+            for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -171,6 +156,8 @@ def parse_config(text: str) -> ExperimentConfig:
     require(cfg.experiment in EXPERIMENTS,
             f"missing or invalid 'experiment' (one of {', '.join(EXPERIMENTS)})")
     require(cfg.seed is not None, "missing required field 'seed'")
+    require(cfg.seed is None or cfg.seed >= 0,
+            f"line {seen.get('seed')}: seed must be >= 0, got {cfg.seed}")
     require(cfg.mode in ("theory", "practical"), f"invalid mode {cfg.mode!r}")
     if cfg.experiment == "sphere-quadratic":
         require(cfg.diag is not None and len(cfg.diag) >= 2,
@@ -263,7 +250,7 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
         elif cfg.x0 == "random":
             coords = man.random_point(rng_data).coords
         else:
-            coords = np.array(_parse_floats(cfg.x0))
+            coords = man._as_ambient(_parse_list(float, cfg.x0), "x0 of shape")
         x0 = Point(man, coords)
     elif cfg.experiment == "kpca":
         h = np.diag(cfg.h_diag) if cfg.h_diag is not None else read_matrix(cfg.h_file)
@@ -351,6 +338,12 @@ def write_summary(path: str, summary: dict):
             fh.write(f"{key} = {fmt(val)}\n")
 
 
+def _seed_streams(seed: int) -> list[np.random.Generator]:
+    """The four generators of a run, in order: data, smoothness estimate,
+    PRGD run and eigensolver."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    seed: int | None = None) -> ExperimentOutcome:
     """Run one experiment (or the verification suite) and write its artifacts.
@@ -361,6 +354,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     problem.
     """
     seed = cfg.seed if seed is None else seed
+    if seed is None or seed < 0:
+        return ExperimentOutcome(EXIT_CONFIG, None, messages=[f"seed must be >= 0, got {seed}"])
     out = out_dir or cfg.out_dir or f"out-{cfg.experiment}"
     try:
         os.makedirs(out, exist_ok=True)
@@ -375,8 +370,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     if cfg.experiment == "verify":
         return _run_verify(cfg, out, seed)
 
-    ss = np.random.SeedSequence(seed)
-    rng_data, rng_smooth, rng_run, rng_eig = [np.random.default_rng(s) for s in ss.spawn(4)]
+    rng_data, rng_smooth, rng_run, rng_eig = _seed_streams(seed)
     try:
         obj, x0, extras = _build_problem(cfg, rng_data)
     except (ValueError, OSError) as exc:
@@ -448,7 +442,10 @@ def _verify_manifold(cfg: ExperimentConfig):
 
 
 def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome:
-    man = _verify_manifold(cfg)
+    try:
+        man = _verify_manifold(cfg)
+    except ValueError as exc:
+        return ExperimentOutcome(EXIT_CONFIG, out, messages=[f"problem setup failed: {exc}"])
     wanted = list(VERIFY_CHECKS) if "all" in cfg.checks else list(cfg.checks)
     ss = np.random.SeedSequence(seed)
     streams = {name: np.random.default_rng(s)
@@ -562,8 +559,7 @@ def render_coupling(p) -> str:
 def describe_thresholds(cfg: ExperimentConfig, seed: int | None = None) -> str:
     """Full derivation printout of the threshold set for audit."""
     seed = cfg.seed if seed is None else seed
-    ss = np.random.SeedSequence(seed)
-    rng_data, rng_smooth = [np.random.default_rng(s) for s in ss.spawn(4)[:2]]
+    rng_data, rng_smooth, _, _ = _seed_streams(seed)
     obj, x0, _ = _build_problem(cfg, rng_data)
     thr, info = _thresholds_for(cfg, obj, x0, rng_smooth)
     lines = [f"mode = {thr.mode}", f"seed = {seed}"]

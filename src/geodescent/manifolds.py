@@ -90,9 +90,7 @@ class Manifold:
     # -- constructors with invariant checks ----------------------------
 
     def point(self, coords) -> Point:
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != self.shape:
-            raise ValueError(f"{self.name}: expected coords of shape {self.shape}, got {coords.shape}")
+        coords = self._as_ambient(coords, "coords of shape")
         res = self.feasibility_residual(coords)
         if res > FEAS_TOL:
             raise ValueError(f"{self.name}: point infeasible, residual {res:.3e} > {FEAS_TOL:.0e}")
@@ -100,13 +98,18 @@ class Manifold:
 
     def tangent(self, x: Point, coords) -> Tangent:
         self._check_point(x)
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != self.shape:
-            raise ValueError(f"{self.name}: expected tangent of shape {self.shape}, got {coords.shape}")
+        coords = self._as_ambient(coords, "tangent of shape")
         res = self.tangency_residual(x, coords)
         if res > TANGENT_TOL:
             raise ValueError(f"{self.name}: vector not tangent, residual {res:.3e} > {TANGENT_TOL:.0e}")
         return Tangent(x, coords)
+
+    def _as_ambient(self, a, what: str = "shape") -> np.ndarray:
+        """`a` as a float array, checked to have the ambient shape."""
+        a = np.asarray(a, dtype=float)
+        if a.shape != self.shape:
+            raise ValueError(f"{self.name}: expected {what} {self.shape}, got {a.shape}")
+        return a
 
     def feasibility_residual(self, coords: np.ndarray) -> float:
         raise NotImplementedError
@@ -235,55 +238,11 @@ class Euclidean(Manifold):
 
     def project_tangent(self, x, a):
         self._check_point(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != self.shape:
-            raise ValueError(f"{self.name}: expected shape {self.shape}, got {a.shape}")
+        a = self._as_ambient(a)
         return Tangent(x, a)
 
     def random_point(self, rng):
         return Point(self, rng.standard_normal(self.n))
-
-
-def _sphere_exp(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    th = np.linalg.norm(v)
-    if th == 0.0:
-        return x
-    if th < 1e-9:
-        y = x + v  # cubic error, below rounding at this scale
-    else:
-        y = math.cos(th) * x + (math.sin(th) / th) * v
-    return y / np.linalg.norm(y)
-
-
-def _sphere_log(x: np.ndarray, y: np.ndarray, inj_guard: bool = True):
-    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    u = y - c * x
-    s = float(np.linalg.norm(u))
-    d = math.atan2(s, c)
-    if inj_guard and d >= math.pi - 1e-12:
-        raise GeometryError(
-            f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
-        )
-    if s < 1e-300:
-        return np.zeros_like(x)
-    return (d / s) * u
-
-
-def _sphere_dist(x: np.ndarray, y: np.ndarray) -> float:
-    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
-    s = float(np.linalg.norm(y - c * x))
-    return math.atan2(s, c)
-
-
-def _sphere_transport(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    c = float(np.dot(x, y))
-    if c <= -1.0 + 1e-12:
-        raise GeometryError(
-            f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
-        )
-    xy = x + y
-    out = w - (np.dot(xy, w) / (1.0 + c)) * xy
-    return out - np.dot(y, out) * y  # kill rounding in the normal direction
 
 
 class Sphere(Manifold):
@@ -309,27 +268,52 @@ class Sphere(Manifold):
         self._check_base(x, v)
         if not np.any(v.coords):
             return x
-        return Point(self, _sphere_exp(x.coords, v.coords))
+        th = np.linalg.norm(v.coords)
+        if th == 0.0:  # the norm underflowed although some entry is nonzero
+            return x
+        if th < 1e-9:
+            y = x.coords + v.coords  # cubic error, below rounding at this scale
+        else:
+            y = math.cos(th) * x.coords + (math.sin(th) / th) * v.coords
+        return Point(self, y / np.linalg.norm(y))
 
     def log(self, x, y):
         self._check_pair(x, y)
-        return Tangent(x, _sphere_log(x.coords, y.coords))
+        c = float(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0))
+        u = y.coords - c * x.coords
+        s = float(np.linalg.norm(u))
+        d = math.atan2(s, c)
+        if d >= math.pi - 1e-12:
+            raise GeometryError(
+                f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
+            )
+        if s < 1e-300:
+            return Tangent(x, np.zeros_like(x.coords))
+        return Tangent(x, (d / s) * u)
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        return _sphere_dist(x.coords, y.coords)
+        c = float(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0))
+        s = float(np.linalg.norm(y.coords - c * x.coords))
+        return math.atan2(s, c)
 
     def transport(self, x, y, w):
         self._check_base(x, w)
         self._check_point(y)
         self._check_injectivity(self.dist(x, y), "transport")
-        return Tangent(y, _sphere_transport(x.coords, y.coords, w.coords))
+        c = float(np.dot(x.coords, y.coords))
+        if c <= -1.0 + 1e-12:
+            raise GeometryError(
+                f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
+            )
+        xy = x.coords + y.coords
+        out = w.coords - (np.dot(xy, w.coords) / (1.0 + c)) * xy
+        # kill rounding in the normal direction
+        return Tangent(y, out - np.dot(y.coords, out) * y.coords)
 
     def project_tangent(self, x, a):
         self._check_point(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != self.shape:
-            raise ValueError(f"{self.name}: expected shape {self.shape}, got {a.shape}")
+        a = self._as_ambient(a)
         return Tangent(x, a - np.dot(x.coords, a) * x.coords)
 
     def random_point(self, rng):
@@ -415,9 +399,7 @@ class Oblique(Manifold):
 
     def project_tangent(self, x, a):
         self._check_point(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != self.shape:
-            raise ValueError(f"{self.name}: expected shape {self.shape}, got {a.shape}")
+        a = self._as_ambient(a)
         dots = np.sum(x.coords * a, axis=1, keepdims=True)
         return Tangent(x, a - dots * x.coords)
 
@@ -498,9 +480,7 @@ class Grassmann(Manifold):
 
     def project_tangent(self, x, a):
         self._check_point(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != self.shape:
-            raise ValueError(f"{self.name}: expected shape {self.shape}, got {a.shape}")
+        a = self._as_ambient(a)
         return Tangent(x, a - x.coords @ (x.coords.T @ a))
 
     def random_point(self, rng):
@@ -567,9 +547,7 @@ class Stiefel(Manifold):
 
     def project_tangent(self, x, a):
         self._check_point(x)
-        a = np.asarray(a, dtype=float)
-        if a.shape != self.shape:
-            raise ValueError(f"{self.name}: expected shape {self.shape}, got {a.shape}")
+        a = self._as_ambient(a)
         m = x.coords.T @ a
         return Tangent(x, a - x.coords @ ((m + m.T) / 2.0))
 

@@ -166,8 +166,20 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     return man.project_tangent(x, (g_plus.coords - g_minus.coords) / (2.0 * s))
 
 
-def _hess_operator(obj: Objective, x: Point, use_exact: bool):
-    if use_exact:
+def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
+    """Unit tangent vector at x in a uniformly random direction."""
+    t = man.project_tangent(x, rng.standard_normal(man.shape))
+    n = t.norm()
+    while n < 1e-12:  # pragma: no cover - probability zero
+        t = man.project_tangent(x, rng.standard_normal(man.shape))
+        n = t.norm()
+    return Tangent(x, t.coords / n)
+
+
+def hess_operator(obj: Objective, x: Point):
+    """v -> H(x)[v]: the closed form where the objective has one, else
+    central differences (`hess_vec`)."""
+    if obj.has_exact_hess():
         def op(v: Tangent) -> Tangent:
             return obj.exact_hess(x, v)
     else:
@@ -177,7 +189,7 @@ def _hess_operator(obj: Objective, x: Point, use_exact: bool):
 
 
 def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
-                 max_iters: int = 500, use_exact: str = "auto"):
+                 max_iters: int = 500):
     """Smallest eigenvalue of the Riemannian Hessian at x, with eigenvector.
 
     Power iteration on the shifted operator sigma*I - H, where sigma is an
@@ -186,15 +198,13 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
     small orthonormal Krylov basis and the returned pair is the minimal
     Rayleigh-Ritz pair on that basis; near-tied eigenvalues otherwise stall
     the plain power recursion below any fixed tolerance.  Only Hessian-vector
-    products are used, so the estimate works for objectives without an exact
-    Hessian.
+    products are used: the closed-form Hessian whenever the objective has
+    one, central differences otherwise.
 
     Parameters
     ----------
     tol : float
         Stopping tolerance on the Rayleigh-quotient change per iteration.
-    use_exact : {"auto", "always", "never"}
-        Whether to use the objective's closed-form Hessian when available.
 
     Returns
     -------
@@ -205,25 +215,16 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     man = obj.manifold
-    exact = obj.has_exact_hess() if use_exact == "auto" else (use_exact == "always")
-    op = _hess_operator(obj, x, exact)
+    op = hess_operator(obj, x)
     dim = man.geometry().dimension
-
-    def draw_unit() -> Tangent:
-        t = man.project_tangent(x, rng.standard_normal(man.shape))
-        n = t.norm()
-        while n < 1e-12:  # pragma: no cover - probability zero
-            t = man.project_tangent(x, rng.standard_normal(man.shape))
-            n = t.norm()
-        return Tangent(x, t.coords / n)
 
     # Upper bound on |spectrum|: sampled Rayleigh quotients, then a short
     # power iteration on H itself to tighten it.
     sigma = 0.0
     for _ in range(5):
-        u = draw_unit()
+        u = unit_tangent(man, x, rng)
         sigma = max(sigma, abs(float(np.sum(u.coords * op(u).coords))))
-    u = draw_unit()
+    u = unit_tangent(man, x, rng)
     for _ in range(20):
         hu = op(u)
         n = hu.norm()
@@ -245,7 +246,7 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
         if n > 1e-10:
             basis.append(c / n)
 
-    v = draw_unit()
+    v = unit_tangent(man, x, rng)
     absorb(v)
     rq_prev = float(np.sum(v.coords * op(v).coords))
     converged = False
@@ -305,14 +306,13 @@ class SmoothnessEstimate:
 
 
 def estimate_smoothness(obj: Objective, center: Point, radius: float,
-                        n_samples: int, rng: np.random.Generator,
-                        hess_dirs: int = 2) -> SmoothnessEstimate:
+                        n_samples: int, rng: np.random.Generator) -> SmoothnessEstimate:
     """Estimate gradient/Hessian Lipschitz constants by pairwise max ratios.
 
     Samples points in the geodesic ball around `center` and maximizes
     ||rgrad(y) - transport(rgrad(x))|| / d(x, y) over pairs (beta_hat), and
-    the analogous transported Hessian-vector difference over random
-    directions (rho_hat).  Pairs closer than 1e-12 are skipped.
+    the analogous transported Hessian-vector difference over two random
+    directions per pair (rho_hat).  Pairs closer than 1e-12 are skipped.
     """
     man = obj.manifold
     if n_samples < 2:
@@ -325,7 +325,6 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
     dir_base = int(rng.integers(2 ** 62))
     pts = [man.exp(center, man.sample_tangent_ball(center, radius, rng)) for _ in range(n_samples)]
     grads = [obj.rgrad(p) for p in pts]
-    exact = obj.has_exact_hess()
     beta_hat = 0.0
     rho_hat = 0.0
     used = 0
@@ -338,15 +337,11 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
             used += 1
             moved = man.transport(xi, xj, grads[i])
             beta_hat = max(beta_hat, float(np.linalg.norm(grads[j].coords - moved.coords)) / d)
-            op_i = _hess_operator(obj, xi, exact)
-            op_j = _hess_operator(obj, xj, exact)
+            op_i = hess_operator(obj, xi)
+            op_j = hess_operator(obj, xj)
             pair_rng = np.random.default_rng([dir_base, i, j])
-            for _ in range(hess_dirs):
-                t = man.project_tangent(xi, pair_rng.standard_normal(man.shape))
-                n = t.norm()
-                if n < 1e-12:
-                    continue
-                t = Tangent(xi, t.coords / n)
+            for _ in range(2):
+                t = unit_tangent(man, xi, pair_rng)
                 hj = op_j(man.transport(xi, xj, t))
                 hi_moved = man.transport(xi, xj, op_i(t))
                 rho_hat = max(rho_hat, float(np.linalg.norm(hj.coords - hi_moved.coords)) / d)

@@ -185,13 +185,11 @@ class TraceRow:
 class Trace:
     """Per-iteration record of one run.
 
-    Equality/determinism contracts cover the rows, status and iteration
-    count; wall_time is informational only.
+    Equality/determinism contracts cover the rows; wall_time is informational
+    only.
     """
 
     rows: list[TraceRow] = field(default_factory=list)
-    status: str | None = None
-    total_iterations: int = 0
     wall_time: float = 0.0
 
 
@@ -229,6 +227,22 @@ def _safe_dist(man, a: Point, b: Point) -> float | None:
         return None
 
 
+def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> RunResult:
+    return RunResult(status, x, fx, gnorm, len(trace.rows), trace)
+
+
+def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
+                 injectivity: float) -> tuple[Point, float]:
+    """Gradient step of geodesic length min(eta * gnorm, injectivity).
+
+    Returns the next point and eta_bar = min(eta, injectivity / gnorm), or
+    (x, 0.0) when gnorm is not positive."""
+    if not gnorm > 0:
+        return x, 0.0
+    eta_bar = min(eta, injectivity / gnorm)
+    return man.exp(x, Tangent(x, -eta_bar * grad.coords)), eta_bar
+
+
 def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
               rng: np.random.Generator):
     """One pass of the perturbed-descent loop.
@@ -248,10 +262,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     grad = obj.rgrad(x)
     gnorm = grad.norm()
     if not (math.isfinite(fx) and math.isfinite(gnorm)):
-        state.trace.status = STATUS_STEP_FAILURE
-        state.trace.total_iterations = len(state.trace.rows)
-        return RunResult(STATUS_STEP_FAILURE, x, fx, gnorm,
-                         len(state.trace.rows), state.trace)
+        return _finish(STATUS_STEP_FAILURE, x, fx, gnorm, state.trace)
 
     perturbed = False
     if gnorm <= thr.g_thres and state.t - state.t_noise > thr.t_thres:
@@ -273,22 +284,11 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
             dist_to_anchor=_safe_dist(man, x, xt),
             dist_to_start=_safe_dist(man, x, state.x_start),
         ))
-        state.trace.status = STATUS_SECOND_ORDER
-        state.trace.total_iterations = len(state.trace.rows)
-        return RunResult(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(),
-                         len(state.trace.rows), state.trace)
+        return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
 
-    if gnorm > 0:
-        eta_bar = min(thr.eta, thr.injectivity / gnorm)
-        step = Tangent(x, -eta_bar * grad.coords)
-        x_next = man.exp(x, step)
-        step_norm = eta_bar * gnorm
-    else:
-        x_next = x
-        step_norm = 0.0
-
+    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, thr.injectivity)
     state.trace.rows.append(TraceRow(
-        t=state.t, f=fx, gradnorm=gnorm, step_norm=step_norm, perturbed=perturbed,
+        t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed,
         dist_to_anchor=_safe_dist(man, x, state.x_tilde) if state.x_tilde is not None else None,
         dist_to_start=_safe_dist(man, x, state.x_start),
     ))
@@ -305,15 +305,13 @@ def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
     for _ in range(max_iters):
         out = prgd_step(state, thr, obj, rng)
         if isinstance(out, RunResult):
-            out.trace.wall_time = time.perf_counter() - t0
-            return out
+            break
         state = out
-    state.trace.status = STATUS_ITERATION_CAP
-    state.trace.total_iterations = len(state.trace.rows)
-    state.trace.wall_time = time.perf_counter() - t0
-    g = obj.rgrad(state.x)
-    return RunResult(STATUS_ITERATION_CAP, state.x, obj.value(state.x),
-                     g.norm(), len(state.trace.rows), state.trace)
+    else:
+        g = obj.rgrad(state.x)
+        out = _finish(STATUS_ITERATION_CAP, state.x, obj.value(state.x), g.norm(), state.trace)
+    out.trace.wall_time = time.perf_counter() - t0
+    return out
 
 
 def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
@@ -331,27 +329,23 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
         grad = obj.rgrad(x)
         gnorm = grad.norm()
         if not (math.isfinite(fx) and math.isfinite(gnorm)):
-            trace.status = STATUS_STEP_FAILURE
-            trace.total_iterations = len(trace.rows)
-            trace.wall_time = time.perf_counter() - t0
-            return RunResult(STATUS_STEP_FAILURE, x, fx, gnorm, len(trace.rows), trace)
+            status = STATUS_STEP_FAILURE
+            break
         if gnorm <= g_tol:
             trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False, None,
                                        _safe_dist(man, x, x0)))
-            trace.status = STATUS_FIRST_ORDER
-            trace.total_iterations = len(trace.rows)
-            trace.wall_time = time.perf_counter() - t0
-            return RunResult(STATUS_FIRST_ORDER, x, fx, gnorm, len(trace.rows), trace)
-        eta_bar = min(eta, inj / gnorm)
+            status = STATUS_FIRST_ORDER
+            break
+        x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta, inj)
         trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False,
                                    None, _safe_dist(man, x, x0)))
-        x = man.exp(x, Tangent(x, -eta_bar * grad.coords))
-    fx = obj.value(x)
-    g = obj.rgrad(x)
-    trace.status = STATUS_ITERATION_CAP
-    trace.total_iterations = len(trace.rows)
+        x = x_next
+    else:
+        status = STATUS_ITERATION_CAP
+        fx = obj.value(x)
+        gnorm = obj.rgrad(x).norm()
     trace.wall_time = time.perf_counter() - t0
-    return RunResult(STATUS_ITERATION_CAP, x, fx, g.norm(), len(trace.rows), trace)
+    return _finish(status, x, fx, gnorm, trace)
 
 
 def classify_stationarity(gradnorm: float, lambda_min: float, epsilon: float,

@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -70,6 +71,68 @@ class TestParseConfig:
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# header\n\nexperiment = sphere-quadratic # inline\nseed = 1\ndiag = 1,2\n")
         assert cfg.seed == 1
+
+
+# field: (valid text, its parsed value, malformed text or None where any
+# text is a valid value); the valid texts also pass validation of a verify
+# config
+SCHEMA_SAMPLES = {
+    "experiment": ("verify", "verify", None),
+    "seed": ("1e3", 1000, "inf"),
+    "mode": ("theory", "theory", None),
+    "max_iters": ("2e4", 20000, "1.5"),
+    "out_dir": ("out-x", "out-x", None),
+    "epsilon": ("2.5e-3", 0.0025, "small"),
+    "delta": ("0.2", 0.2, "0.2.1"),
+    "beta": ("8", 8.0, "b"),
+    "rho": ("8", 8.0, "r"),
+    "rho_hat": ("4", 4.0, "-"),
+    "eta": ("0.05", 0.05, "1/20"),
+    "r": ("1e-3", 0.001, "e-3"),
+    "g_thres": ("1e-4", 0.0001, "1e-4e"),
+    "f_thres": ("1e-8", 1e-08, "x"),
+    "t_thres": ("200", 200, "200.5"),
+    "c_hat": ("4", 4.0, "four"),
+    "f_gap": ("2", 2.0, "2 3"),
+    "curvature": ("1", 1.0, "one"),
+    "injectivity": ("3.14", 3.14, "pi"),
+    "diag": ("1, -1, 4", [1.0, -1.0, 4.0], "1, -1, x"),
+    "x0": ("1, 0, 0", "1, 0, 0", None),
+    "k": ("2", 2, "2.5"),
+    "h_diag": ("0 1 2", [0.0, 1.0, 2.0], "0, 1, two"),
+    "h_file": ("h.txt", "h.txt", None),
+    "x0_cols": ("0, 2", [0, 2], "0, 1.5"),
+    "dim_d": ("40", 40, "4e-1"),
+    "p": ("4", 4, "nan"),
+    "block": ("3", 3, "three"),
+    "a_file": ("a.txt", "a.txt", None),
+    "manifold": ("grassmann", "grassmann", None),
+    "n": ("4", 4, "4.25"),
+    "checks": ("two-step, holonomy", ["two-step", "holonomy"], None),
+    "n_samples": ("1e2", 100, "1e-2"),
+    "scales": ("0.2, 0.1", [0.2, 0.1], "0.2, 0.1x"),
+    "mu": ("0.5", 0.5, "half"),
+    "probe_steps": ("50", 50, "5O"),
+}
+
+
+class TestConfigSchema:
+    def test_samples_cover_every_field(self):
+        assert set(SCHEMA_SAMPLES) == {f.name for f in fields(ExperimentConfig)}
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_SAMPLES))
+    def test_field_parses_to_its_type(self, name):
+        text, value, malformed = SCHEMA_SAMPLES[name]
+        lines = {"experiment": "verify", "seed": "7", name: text}
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert repr(getattr(cfg, name)) == repr(value)  # repr tells 1000 from 1000.0
+        if malformed is None:
+            return
+        lines[name] = malformed
+        with pytest.raises(ConfigError) as exc:
+            parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        lineno = list(lines).index(name) + 1
+        assert f"line {lineno}: cannot parse value {malformed!r} for key {name!r}" in exc.value.errors
 
 
 class TestMatrixIO:
@@ -235,6 +298,23 @@ class TestCli:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(MINIMAL_SPHERE)
         assert cli_main(["verify", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("run", MINIMAL_SPHERE.replace("seed = 7", "seed = -1"), [],
+         "line 3: seed must be >= 0, got -1"),
+        ("run", MINIMAL_SPHERE, ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("run", MINIMAL_SPHERE + "x0 = 1, 0\nbeta = 8\nrho_hat = 8\n", [],
+         "problem setup failed: sphere(3): expected x0 of shape (3,), got (2,)"),
+        ("verify", "experiment = verify\nseed = 7\nmanifold = sphere\nn = 1\n", [],
+         "problem setup failed: n must be >= 2"),
+    ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n"])
+    def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(text)
+        code = cli_main([command, str(cfg_path), "--out", str(tmp_path / "o"), *extra])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.out + captured.err
 
     def test_thresholds_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

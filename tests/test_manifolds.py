@@ -108,6 +108,15 @@ class TestValidation:
             S3.project_tangent(x, np.zeros(4))
         with pytest.raises(ValueError, match="shape"):
             S3.point(np.zeros(4))
+        for man in (S3, Euclidean(3), Oblique(2, 3), Grassmann(3, 1), Stiefel(3, 2)):
+            x = man.random_point(np.random.default_rng(0))
+            bad = np.zeros(man.shape + (1,))
+            for call, what in ((lambda: man.point(bad), "coords of shape"),
+                               (lambda: man.tangent(x, bad), "tangent of shape"),
+                               (lambda: man.project_tangent(x, bad), "shape")):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"{man.name}: expected {what} {man.shape}, got {bad.shape}"
 
     def test_manifold_mismatch(self):
         x4 = Sphere(4).point([1.0, 0, 0, 0])

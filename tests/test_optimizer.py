@@ -274,6 +274,46 @@ class TestRunInvariants:
         assert bad <= delta * 50
 
 
+class TestBenchmarkHooks:
+    """The benchmark times `us_per_iter` by wrapping these module globals, so
+    the loops must look them up at call time."""
+
+    def test_run_calls_prgd_step_once_per_iteration(self, monkeypatch):
+        import geodescent.optimizer as optimizer
+
+        calls = []
+        original = optimizer.prgd_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "prgd_step", counting)
+        obj = fig_objective()
+        result = run(obj, obj.manifold.point([1.0, 0.0, 0.0]), fig_thresholds(),
+                     100_000, np.random.default_rng(7))
+        assert result.status == "second-order-point"
+        assert len(calls) == result.iterations > 0
+
+    def test_run_experiment_calls_check_two_step_through_verify(self, monkeypatch, tmp_path):
+        import geodescent.verify as geoverify
+        from geodescent.harness import parse_config, run_experiment
+
+        calls = []
+        original = geoverify.check_two_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(geoverify, "check_two_step", counting)
+        cfg = parse_config("experiment = verify\nseed = 7\nchecks = two-step, holonomy\n"
+                           "n_samples = 20\n")
+        out = run_experiment(cfg, out_dir=str(tmp_path / "v"))
+        assert len(calls) == 1
+        assert [rep.lemma_id for rep in out.reports] == ["two-step", "holonomy"]
+
+
 class TestBaseline:
     def test_stalls_at_exact_saddle(self):
         obj = fig_objective()
