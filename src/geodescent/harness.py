@@ -75,7 +75,6 @@ class ExperimentConfig:
     t_thres: int | None = None
     c_hat: float = 4.0
     f_gap: float | None = None
-    curvature: float | None = None
     injectivity: float | None = None
     diag: list[float] | None = None
     x0: str | None = None
@@ -174,6 +173,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"invalid manifold {cfg.manifold!r}")
         for c in cfg.checks:
             require(c == "all" or c in VERIFY_CHECKS, f"unknown check {c!r}")
+        require(cfg.n_samples >= 1,
+                f"line {seen.get('n_samples')}: n_samples must be >= 1, got {cfg.n_samples}")
+        require(all(0 < s < math.inf for s in cfg.scales) and len(set(cfg.scales)) >= 2,
+                f"line {seen.get('scales')}: scales must hold at least two distinct "
+                f"finite positive values, got {cfg.scales}")
+        require(cfg.probe_steps >= 1,
+                f"line {seen.get('probe_steps')}: probe_steps must be >= 1, got {cfg.probe_steps}")
     if cfg.mode == "theory" and cfg.experiment != "verify":
         require(cfg.f_gap is not None, "theory mode requires 'f_gap'")
         require(cfg.beta is not None, "theory mode requires 'beta'")
@@ -298,9 +304,7 @@ def _thresholds_for(cfg: ExperimentConfig, obj, x0,
         params = AssumptionParams(
             beta=beta_hat, rho=cfg.rho if cfg.rho is not None else rho_hat,
             epsilon=cfg.epsilon, delta=cfg.delta, f_gap=cfg.f_gap,
-            dim_d=geom.dimension,
-            curvature_K=cfg.curvature if cfg.curvature is not None else geom.curvature_bound,
-            injectivity=inj, rho_hat=rho_hat)
+            dim_d=geom.dimension, injectivity=inj, rho_hat=rho_hat)
         thr = derive_thresholds(params, cfg.c_hat)
     else:
         thr = practical_thresholds(
@@ -344,6 +348,15 @@ def _seed_streams(seed: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)]
 
 
+def _resolve_seed(cfg: ExperimentConfig, seed: int | None) -> int:
+    """The override if given, else the config's seed; raises ValueError
+    unless it is >= 0."""
+    seed = cfg.seed if seed is None else seed
+    if seed is None or seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    seed: int | None = None) -> ExperimentOutcome:
     """Run one experiment (or the verification suite) and write its artifacts.
@@ -353,9 +366,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     passed); 1 means non-convergence or a failed check; 2 a config or data
     problem.
     """
-    seed = cfg.seed if seed is None else seed
-    if seed is None or seed < 0:
-        return ExperimentOutcome(EXIT_CONFIG, None, messages=[f"seed must be >= 0, got {seed}"])
+    try:
+        seed = _resolve_seed(cfg, seed)
+    except ValueError as exc:
+        return ExperimentOutcome(EXIT_CONFIG, None, messages=[str(exc)])
     out = out_dir or cfg.out_dir or f"out-{cfg.experiment}"
     try:
         os.makedirs(out, exist_ok=True)
@@ -461,12 +475,22 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
 
     n = cfg.n_samples
     scales = cfg.scales
+    # looked up on the module at call time, so wrappers installed on
+    # geoverify.check_* see every call
+    single = {
+        "two-step": lambda rng: geoverify.check_two_step(man, n, scales, rng),
+        "log-bilipschitz": lambda rng: geoverify.check_log_bilipschitz(man, n, scales, rng),
+        "transport-contraction": lambda rng: geoverify.check_transport_contraction(man, n, rng),
+        "holonomy": lambda rng: geoverify.check_holonomy(man, n, scales, rng),
+        "gradient-taylor": lambda rng: geoverify.check_gradient_taylor(obj, man, n, scales, rng),
+    }
     for name in wanted:
         rng = streams[name]
         if name in ("descent", "linearization", "gradient-taylor", "coupling") and obj is None:
             messages.append(f"{name}: skipped (needs a quadratic objective on sphere/euclidean)")
-            continue
-        if name == "descent":
+        elif name in single:
+            reports.append(single[name](rng))
+        elif name == "descent":
             center = man.random_point(rng)
             est = estimate_smoothness(obj, center, min(1.0, man.geometry().injectivity_radius / 3),
                                       20, rng)
@@ -479,28 +503,11 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
             neg.passed = not neg.passed  # the control must produce violations
             neg.details["beta_hat"] = beta_hat
             reports.append(neg)
-        elif name == "two-step":
-            reports.append(geoverify.check_two_step(man, n, scales, rng))
-        elif name == "log-bilipschitz":
-            reports.append(geoverify.check_log_bilipschitz(man, n, scales, rng))
-        elif name == "transport-contraction":
-            reports.append(geoverify.check_transport_contraction(man, n, rng))
-        elif name == "holonomy":
-            reports.append(geoverify.check_holonomy(man, n, scales, rng))
+        elif (saddle := _first_saddle(obj, man)) is None:  # linearization, coupling
+            messages.append(f"{name}: skipped (no exact saddle for this diagonal)")
         elif name == "linearization":
-            saddle = _first_saddle(obj, man, rng)
-            if saddle is None:
-                messages.append("linearization: skipped (no exact saddle for this diagonal)")
-                continue
-            rep = geoverify.check_linearization(obj, man, saddle, n, scales, 0.05, rng)
-            reports.append(rep)
-        elif name == "gradient-taylor":
-            reports.append(geoverify.check_gradient_taylor(obj, man, n, scales, rng))
-        elif name == "coupling":
-            saddle = _first_saddle(obj, man, rng)
-            if saddle is None:
-                messages.append("coupling: skipped (no exact saddle for this diagonal)")
-                continue
+            reports.append(geoverify.check_linearization(obj, man, saddle, n, scales, 0.05, rng))
+        else:
             thr = practical_thresholds(2 * float(np.max(np.abs(diag))),
                                        2 * float(np.max(np.abs(diag))), cfg.epsilon,
                                        dim_d=man.geometry().dimension,
@@ -527,7 +534,7 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
                              reports=reports, messages=messages)
 
 
-def _first_saddle(obj, man, rng):
+def _first_saddle(obj, man):
     """Standard basis vector that is a strict-saddle stationary point, if any."""
     diag = obj.diag
     for i in range(diag.size):
@@ -558,7 +565,7 @@ def render_coupling(p) -> str:
 
 def describe_thresholds(cfg: ExperimentConfig, seed: int | None = None) -> str:
     """Full derivation printout of the threshold set for audit."""
-    seed = cfg.seed if seed is None else seed
+    seed = _resolve_seed(cfg, seed)
     rng_data, rng_smooth, _, _ = _seed_streams(seed)
     obj, x0, _ = _build_problem(cfg, rng_data)
     thr, info = _thresholds_for(cfg, obj, x0, rng_smooth)

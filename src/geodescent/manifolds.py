@@ -415,24 +415,22 @@ class Grassmann(Manifold):
     Exp and log are closed forms through the thin SVD of the tangent, and
     parallel transport along geodesics is exact (and therefore isometric).
 
-    The curvature bound and injectivity radius default to 2 and pi/2; both can
-    be overridden at construction since downstream thresholds treat them as
+    The curvature bound is 2.  The injectivity radius defaults to pi/2 and can
+    be overridden at construction, since downstream thresholds treat it as
     configuration, not derived data.
     """
 
-    def __init__(self, n: int, k: int, curvature_bound: float = 2.0,
-                 injectivity_radius: float = math.pi / 2):
+    def __init__(self, n: int, k: int, injectivity_radius: float = math.pi / 2):
         if not 1 <= k < n:
             raise ValueError("need 1 <= k < n")
         self.n = n
         self.k = k
-        self._curvature = curvature_bound
         self._inj = injectivity_radius
         self.name = f"grassmann({n},{k})"
         self.shape = (n, k)
 
     def geometry(self) -> GeometryInfo:
-        return GeometryInfo(self._curvature, self._inj, self.k * (self.n - self.k))
+        return GeometryInfo(2.0, self._inj, self.k * (self.n - self.k))
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords
@@ -495,20 +493,16 @@ class Stiefel(Manifold):
     transport raise CapabilityError; use Grassmann when those maps are needed.
     """
 
-    def __init__(self, n: int, k: int, curvature_bound: float = 1.0,
-                 injectivity_radius: float = math.pi / 2):
+    def __init__(self, n: int, k: int):
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
         self.n = n
         self.k = k
-        self._curvature = curvature_bound
-        self._inj = injectivity_radius
         self.name = f"stiefel({n},{k})"
         self.shape = (n, k)
 
     def geometry(self) -> GeometryInfo:
-        return GeometryInfo(self._curvature, self._inj,
-                            self.n * self.k - self.k * (self.k + 1) // 2)
+        return GeometryInfo(1.0, math.pi / 2, self.n * self.k - self.k * (self.k + 1) // 2)
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords

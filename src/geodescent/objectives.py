@@ -301,8 +301,6 @@ class SmoothnessEstimate:
 
     beta_hat: float
     rho_hat: float
-    num_samples: int
-    region_radius: float
 
 
 def estimate_smoothness(obj: Objective, center: Point, radius: float,
@@ -347,4 +345,4 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
                 rho_hat = max(rho_hat, float(np.linalg.norm(hj.coords - hi_moved.coords)) / d)
     if used == 0:
         raise ValueError("all sampled pairs degenerate (distance < 1e-12)")
-    return SmoothnessEstimate(beta_hat, rho_hat, n_samples, radius)
+    return SmoothnessEstimate(beta_hat, rho_hat)

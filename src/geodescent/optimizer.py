@@ -24,12 +24,11 @@ STATUS_FIRST_ORDER = "first-order-point"  # baseline gradient-tolerance stop
 class AssumptionParams:
     """Smoothness/curvature constants and targets feeding the threshold box.
 
-    beta and rho are the gradient/Hessian Lipschitz constants, curvature_K the
-    sectional curvature bound, injectivity the injectivity radius, epsilon the
-    target accuracy, delta the failure probability, f_gap an upper bound on
-    f(x0) - f*, dim_d the intrinsic manifold dimension, and rho_hat the
-    inflated Hessian constant (defaults to rho when the curvature coupling
-    constant is unknown).
+    beta and rho are the gradient/Hessian Lipschitz constants, injectivity
+    the injectivity radius, epsilon the target accuracy, delta the failure
+    probability, f_gap an upper bound on f(x0) - f*, dim_d the intrinsic
+    manifold dimension, and rho_hat the inflated Hessian constant (defaults
+    to rho when the curvature coupling constant is unknown).
     """
 
     beta: float
@@ -38,7 +37,6 @@ class AssumptionParams:
     delta: float
     f_gap: float
     dim_d: int
-    curvature_K: float = 1.0
     injectivity: float = math.inf
     rho_hat: float | None = None
 
@@ -50,8 +48,6 @@ class AssumptionParams:
             raise ValueError("delta must lie in (0, 1)")
         if self.dim_d < 1:
             raise ValueError("dim_d must be >= 1")
-        if self.curvature_K < 0:
-            raise ValueError("curvature_K must be nonnegative")
         if self.rho_hat is None:
             object.__setattr__(self, "rho_hat", self.rho)
         elif self.rho_hat <= 0:
@@ -177,7 +173,6 @@ class TraceRow:
     gradnorm: float
     step_norm: float
     perturbed: bool
-    dist_to_anchor: float | None  # distance to the last perturbation anchor
     dist_to_start: float | None
 
 
@@ -281,7 +276,6 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         g_out = obj.rgrad(xt)
         state.trace.rows.append(TraceRow(
             t=state.t, f=fx, gradnorm=gnorm, step_norm=0.0, perturbed=False,
-            dist_to_anchor=_safe_dist(man, x, xt),
             dist_to_start=_safe_dist(man, x, state.x_start),
         ))
         return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
@@ -289,7 +283,6 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, thr.injectivity)
     state.trace.rows.append(TraceRow(
         t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed,
-        dist_to_anchor=_safe_dist(man, x, state.x_tilde) if state.x_tilde is not None else None,
         dist_to_start=_safe_dist(man, x, state.x_start),
     ))
     state.x = x_next
@@ -315,12 +308,11 @@ def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
 
 
 def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
-                 max_iters: int,
-                 injectivity: float | None = None) -> RunResult:
+                 max_iters: int) -> RunResult:
     """Plain Riemannian gradient descent with the same step clamp and no
     perturbation; stops once the gradient norm reaches g_tol."""
     man = obj.manifold
-    inj = man.geometry().injectivity_radius if injectivity is None else injectivity
+    inj = man.geometry().injectivity_radius
     t0 = time.perf_counter()
     trace = Trace()
     x = x0
@@ -332,13 +324,13 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
             status = STATUS_STEP_FAILURE
             break
         if gnorm <= g_tol:
-            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False, None,
+            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False,
                                        _safe_dist(man, x, x0)))
             status = STATUS_FIRST_ORDER
             break
         x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta, inj)
         trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False,
-                                   None, _safe_dist(man, x, x0)))
+                                   _safe_dist(man, x, x0)))
         x = x_next
     else:
         status = STATUS_ITERATION_CAP

@@ -18,6 +18,7 @@ from geodescent.harness import (
     run_experiment,
     write_matrix,
 )
+from geodescent.optimizer import TraceRow
 
 MINIMAL_SPHERE = """
 experiment = sphere-quadratic
@@ -25,6 +26,8 @@ seed = 7
 diag = 1, -1, 4
 epsilon = 1e-4
 """
+
+VERIFY_TWO_STEP = "experiment = verify\nseed = 7\nchecks = two-step\n"
 
 
 class TestParseConfig:
@@ -94,7 +97,6 @@ SCHEMA_SAMPLES = {
     "t_thres": ("200", 200, "200.5"),
     "c_hat": ("4", 4.0, "four"),
     "f_gap": ("2", 2.0, "2 3"),
-    "curvature": ("1", 1.0, "one"),
     "injectivity": ("3.14", 3.14, "pi"),
     "diag": ("1, -1, 4", [1.0, -1.0, 4.0], "1, -1, x"),
     "x0": ("1, 0, 0", "1, 0, 0", None),
@@ -181,6 +183,7 @@ class TestRunExperiment:
         assert out.classification == "second-order"
         trace = (tmp_path / "o" / "trace.csv").read_text().splitlines()
         assert trace[0] == "t,f,gradnorm,step_norm,perturbed,dist_to_start"
+        assert trace[0] == ",".join(f.name for f in fields(TraceRow))
         assert len(trace) == out.summary["iterations"] + 1
         summary = (tmp_path / "o" / "summary.txt").read_text()
         assert "classification = second-order" in summary
@@ -307,11 +310,22 @@ class TestCli:
          "problem setup failed: sphere(3): expected x0 of shape (3,), got (2,)"),
         ("verify", "experiment = verify\nseed = 7\nmanifold = sphere\nn = 1\n", [],
          "problem setup failed: n must be >= 2"),
-    ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n"])
+        ("thresholds", MINIMAL_SPHERE, ["--seed", "-2"], "seed must be >= 0, got -2"),
+        ("verify", VERIFY_TWO_STEP + "n_samples = 0\n", [],
+         "line 4: n_samples must be >= 1, got 0"),
+        ("verify", VERIFY_TWO_STEP + "scales = 0.1\n", [],
+         "line 4: scales must hold at least two distinct finite positive values, got [0.1]"),
+        ("verify", VERIFY_TWO_STEP + "scales =\n", [],
+         "line 4: scales must hold at least two distinct finite positive values, got []"),
+        ("verify", VERIFY_TWO_STEP + "probe_steps = -1\n", [],
+         "line 4: probe_steps must be >= 1, got -1"),
+    ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
+            "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)
-        code = cli_main([command, str(cfg_path), "--out", str(tmp_path / "o"), *extra])
+        out = [] if command == "thresholds" else ["--out", str(tmp_path / "o")]
+        code = cli_main([command, str(cfg_path), *out, *extra])
         captured = capsys.readouterr()
         assert code == 2
         assert message in captured.out + captured.err

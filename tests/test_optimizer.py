@@ -47,8 +47,7 @@ class Constant(Objective):
 
 class TestDeriveThresholds:
     PARAMS = AssumptionParams(beta=8.0, rho=8.0, epsilon=0.1, delta=0.1,
-                              f_gap=2.0, dim_d=2, curvature_K=1.0,
-                              injectivity=math.pi)
+                              f_gap=2.0, dim_d=2, injectivity=math.pi)
 
     def test_c_max_maximal_admissible(self):
         thr = derive_thresholds(self.PARAMS, c_hat=4.0)
@@ -138,7 +137,10 @@ class TestPrgdStep:
         assert isinstance(out, OptState)
         row = out.trace.rows[-1]
         assert row.perturbed
-        assert row.dist_to_anchor is not None and row.dist_to_anchor <= thr.r + 1e-12
+        # replay the draw: the row is taken at the kicked point, within r of x0
+        kicked = man.exp(x0, man.sample_tangent_ball(x0, thr.r, np.random.default_rng(2)))
+        assert row.f == obj.value(kicked)
+        assert man.dist(kicked, x0) <= thr.r + 1e-12
         assert out.x_tilde is not None and np.array_equal(out.x_tilde.coords, x0.coords)
 
     def test_window_without_decrease_terminates_with_anchor(self):
@@ -246,15 +248,26 @@ class TestRunInvariants:
             eta_bar = a.step_norm / a.gradnorm
             assert b.f <= a.f - 0.5 * eta_bar * a.gradnorm ** 2 + 1e-12
 
-    def test_perturbation_displacement_bounded(self):
+    def test_perturbation_displacement_bounded(self, monkeypatch):
         obj = fig_objective()
+        man = obj.manifold
         thr = fig_thresholds()
-        result = run(obj, obj.manifold.point([1.0, 0.0, 0.0]), thr, 100_000,
+        draws = []
+        sample = Sphere.sample_tangent_ball
+
+        def recording(self, x, radius, rng):
+            xi = sample(self, x, radius, rng)
+            draws.append((x, xi))
+            return xi
+
+        monkeypatch.setattr(Sphere, "sample_tangent_ball", recording)
+        result = run(obj, man.point([1.0, 0.0, 0.0]), thr, 100_000,
                      np.random.default_rng(14))
         perturbed_rows = [r for r in result.trace.rows if r.perturbed]
         assert perturbed_rows, "expected at least one perturbation"
-        for r in perturbed_rows:
-            assert r.dist_to_anchor <= thr.r + 1e-12
+        assert len(draws) == len(perturbed_rows)
+        for x, xi in draws:
+            assert man.dist(man.exp(x, xi), x) <= thr.r + 1e-12
 
     def test_termination_soundness_over_seeds(self):
         obj = fig_objective()
