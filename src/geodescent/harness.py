@@ -158,6 +158,9 @@ def parse_config(text: str) -> ExperimentConfig:
     require(cfg.seed is None or cfg.seed >= 0,
             f"line {seen.get('seed')}: seed must be >= 0, got {cfg.seed}")
     require(cfg.mode in ("theory", "practical"), f"invalid mode {cfg.mode!r}")
+    for key in ("epsilon", "mu") if cfg.experiment == "verify" else ("epsilon",):
+        require(0 < getattr(cfg, key) < math.inf, f"line {seen.get(key)}: {key} must be "
+                f"finite and positive, got {getattr(cfg, key)}")
     if cfg.experiment == "sphere-quadratic":
         require(cfg.diag is not None and len(cfg.diag) >= 2,
                 "sphere-quadratic requires 'diag' with at least 2 entries")
@@ -508,11 +511,11 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
         elif name == "linearization":
             reports.append(geoverify.check_linearization(obj, man, saddle, n, scales, 0.05, rng))
         else:
-            thr = practical_thresholds(2 * float(np.max(np.abs(diag))),
-                                       2 * float(np.max(np.abs(diag))), cfg.epsilon,
-                                       dim_d=man.geometry().dimension,
-                                       injectivity=man.geometry().injectivity_radius)
+            bound = 2 * float(np.max(np.abs(diag)))
             try:
+                thr = practical_thresholds(bound, bound, cfg.epsilon,
+                                           dim_d=man.geometry().dimension,
+                                           injectivity=man.geometry().injectivity_radius)
                 probe = geoverify.coupling_probe(obj, man, saddle, thr, cfg.mu,
                                                  cfg.probe_steps, rng)
                 with open(os.path.join(out, "report_coupling.txt"), "w", encoding="utf-8") as fh:

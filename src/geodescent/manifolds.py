@@ -16,6 +16,7 @@ from scipy.linalg import expm
 
 FEAS_TOL = 1e-10      # feasibility residual allowed on points
 TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
+_F8 = np.dtype(float)
 
 
 class GeometryError(ValueError):
@@ -35,15 +36,30 @@ class GeometryInfo:
     dimension: int
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only, so `Point`/`Tangent` keep it uncopied."""
+    a.flags.writeable = False
+    return a
+
+
+def _freeze(a) -> np.ndarray:
+    if type(a) is np.ndarray and a.base is None and not a.flags.writeable and a.dtype is _F8:
+        return a
+    return readonly(np.array(a, dtype=float))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(a, axis=1, keepdims=True)`, same bits, no `conj()` copy."""
+    return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)
 class Point:
-    """An element of a manifold, stored in ambient coordinates."""
+    """An element of a manifold, stored in ambient coordinates.
+
+    `coords` is read-only float64: a read-only float64 array owning its memory
+    is shared, anything else (a writeable array, a view, a list) is copied.
+    `Tangent.coords` follows the same rule."""
 
     manifold: "Manifold"
     coords: np.ndarray = field(repr=False)
@@ -70,7 +86,8 @@ class Tangent:
         return self.base.manifold
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
+        c = self.coords.ravel(order="K")
+        return math.sqrt(c.dot(c))
 
     def __repr__(self):
         return f"Tangent({self.manifold.name}, norm={self.norm():.4g})"
@@ -347,8 +364,8 @@ class Oblique(Manifold):
         return float(np.max(np.abs(np.sum(x.coords * coords, axis=1))))
 
     def _row_angles(self, x: np.ndarray, y: np.ndarray):
-        c = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
-        s = np.linalg.norm(y - c[:, None] * x, axis=1)
+        c = np.minimum(np.maximum(np.add.reduce(x * y, axis=1), -1.0), 1.0)
+        s = _row_norms(y - c[:, None] * x)[:, 0]
         return np.arctan2(s, c), c
 
     def _guard_rows(self, d_rows: np.ndarray, what: str):
@@ -361,15 +378,16 @@ class Oblique(Manifold):
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if not np.any(v.coords):
+        th = _row_norms(v.coords)
+        small = th.min() < 1e-9  # rows with th < 1e-9 take the step x + v
+        if small and not np.any(v.coords):  # only a small row can be all zero
             return x
-        th = np.linalg.norm(v.coords, axis=1, keepdims=True)
-        safe = np.where(th > 0, th, 1.0)
-        small = th < 1e-9
-        out = np.where(small, x.coords + v.coords,
-                       np.cos(th) * x.coords + (np.sin(th) / safe) * v.coords)
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
-        return Point(self, out)
+        out = np.cos(th) * x.coords
+        out += (np.sin(th) / (np.where(th > 0, th, 1.0) if small else th)) * v.coords
+        if small:
+            out = np.where(th < 1e-9, x.coords + v.coords, out)
+        out /= _row_norms(out)
+        return Point(self, readonly(out))
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -384,7 +402,7 @@ class Oblique(Manifold):
     def dist(self, x, y):
         self._check_pair(x, y)
         d_rows, _ = self._row_angles(x.coords, y.coords)
-        return float(np.linalg.norm(d_rows))
+        return math.sqrt(d_rows.dot(d_rows))
 
     def transport(self, x, y, w):
         self._check_base(x, w)
@@ -400,8 +418,8 @@ class Oblique(Manifold):
     def project_tangent(self, x, a):
         self._check_point(x)
         a = self._as_ambient(a)
-        dots = np.sum(x.coords * a, axis=1, keepdims=True)
-        return Tangent(x, a - dots * x.coords)
+        dots = np.add.reduce(x.coords * a, axis=1, keepdims=True)
+        return Tangent(x, readonly(a - dots * x.coords))
 
     def random_point(self, rng):
         g = rng.standard_normal(self.shape)

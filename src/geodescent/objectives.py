@@ -16,6 +16,7 @@ from .manifolds import (
     Point,
     Sphere,
     Tangent,
+    readonly,
 )
 
 EPS_MACH = np.finfo(float).eps
@@ -85,50 +86,53 @@ class DiagonalQuadratic(Objective):
         return isinstance(self.manifold, Sphere) or self.manifold.name.startswith("euclidean")
 
 
-class KPCA(Objective):
-    """f(X) = -1/2 tr(X^T H X) on Grassmann: top-k invariant subspace of H."""
+class _QuadraticForm(Objective):
+    """f(X) = 1/2 <X, M X> for symmetric M.  `ambient_grad` returns M X
+    read-only, kept for the last (immutable) point, so `value` and `rgrad` at
+    one point share one product."""
+
+    def __init__(self, m: np.ndarray, label: str):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{label} must be square")
+        sym_res = float(np.linalg.norm(m - m.T))
+        if sym_res > 1e-12:
+            raise ValueError(f"{label} must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
+        self._m = m
+        self._last = (None, None)  # (point, M @ point.coords), replaced as one
+
+    def value(self, x):
+        return 0.5 * float(np.add.reduce(x.coords * self.ambient_grad(x), axis=None))
+
+    def ambient_grad(self, x):
+        last, mx = self._last
+        if x is not last:
+            mx = readonly(self._m @ x.coords)
+            self._last = (x, mx)
+        return mx
+
+
+class KPCA(_QuadraticForm):
+    """f(X) = -1/2 tr(X^T H X) (M = -H) on Grassmann: top-k invariant subspace of H."""
 
     def __init__(self, h, k: int, manifold: Grassmann | None = None):
         self.h = np.asarray(h, dtype=float)
-        n = self.h.shape[0]
-        if self.h.shape != (n, n):
-            raise ValueError("H must be square")
-        sym_res = float(np.linalg.norm(self.h - self.h.T))
-        if sym_res > 1e-12:
-            raise ValueError(f"H must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
+        super().__init__(-self.h, "H")
         self.k = k
-        self.manifold = manifold if manifold is not None else Grassmann(n, k)
-        if self.manifold.shape != (n, k):
+        self.manifold = manifold if manifold is not None else Grassmann(len(self.h), k)
+        if self.manifold.shape != (len(self.h), k):
             raise ValueError("manifold shape does not match (n, k)")
 
-    def value(self, x):
-        return -0.5 * float(np.sum(x.coords * (self.h @ x.coords)))
 
-    def ambient_grad(self, x):
-        return -self.h @ x.coords
-
-
-class BurerMonteiro(Objective):
-    """f(Y) = 1/2 tr(A Y Y^T) on the oblique manifold (unit-norm rows of Y)."""
+class BurerMonteiro(_QuadraticForm):
+    """f(Y) = 1/2 tr(A Y Y^T) (M = A) on the oblique manifold (unit-norm rows of Y)."""
 
     def __init__(self, a, p: int, manifold: Oblique | None = None):
         self.a = np.asarray(a, dtype=float)
-        d = self.a.shape[0]
-        if self.a.shape != (d, d):
-            raise ValueError("A must be square")
-        sym_res = float(np.linalg.norm(self.a - self.a.T))
-        if sym_res > 1e-12:
-            raise ValueError(f"A must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
+        super().__init__(self.a, "A")
         self.p = p
-        self.manifold = manifold if manifold is not None else Oblique(d, p)
-        if self.manifold.shape != (d, p):
+        self.manifold = manifold if manifold is not None else Oblique(len(self.a), p)
+        if self.manifold.shape != (len(self.a), p):
             raise ValueError("manifold shape does not match (d, p)")
-
-    def value(self, x):
-        return 0.5 * float(np.sum(x.coords * (self.a @ x.coords)))
-
-    def ambient_grad(self, x):
-        return self.a @ x.coords
 
 
 def default_fd_step(x: Point, v: Tangent) -> float:

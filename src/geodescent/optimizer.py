@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import CapabilityError, Point, Tangent
+from .manifolds import CapabilityError, Point, Tangent, readonly
 from .objectives import Objective
 
 STATUS_SECOND_ORDER = "second-order-point"
@@ -166,7 +166,7 @@ def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     t: int
     f: float
@@ -235,7 +235,7 @@ def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
     if not gnorm > 0:
         return x, 0.0
     eta_bar = min(eta, injectivity / gnorm)
-    return man.exp(x, Tangent(x, -eta_bar * grad.coords)), eta_bar
+    return man.exp(x, Tangent(x, readonly(-eta_bar * grad.coords))), eta_bar
 
 
 def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,

@@ -28,6 +28,7 @@ epsilon = 1e-4
 """
 
 VERIFY_TWO_STEP = "experiment = verify\nseed = 7\nchecks = two-step\n"
+VERIFY_COUPLING = "experiment = verify\nseed = 7\nchecks = coupling\nprobe_steps = 50\n"
 
 
 class TestParseConfig:
@@ -319,8 +320,15 @@ class TestCli:
          "line 4: scales must hold at least two distinct finite positive values, got []"),
         ("verify", VERIFY_TWO_STEP + "probe_steps = -1\n", [],
          "line 4: probe_steps must be >= 1, got -1"),
+        ("verify", VERIFY_COUPLING + "epsilon = 0\n", [],
+         "line 5: epsilon must be finite and positive, got 0.0"),
+        ("run", MINIMAL_SPHERE.replace("1e-4", "nan"), [],
+         "line 5: epsilon must be finite and positive, got nan"),
+        ("verify", VERIFY_COUPLING + "mu = nan\n", [],
+         "line 5: mu must be finite and positive, got nan"),
     ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
-            "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps"])
+            "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps",
+            "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

@@ -10,6 +10,7 @@ from geodescent import (
     GeometryError,
     Grassmann,
     Oblique,
+    Point,
     Sphere,
     Stiefel,
     Tangent,
@@ -185,6 +186,97 @@ class TestObliqueExamples:
         y2 = man.point(np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
         with pytest.raises(GeometryError, match="row 0"):
             man.log(y, y2)
+
+
+def parent_oblique_exp(x, v):
+    """`Oblique.exp` as written before the one-branch kernel: the reference."""
+    if not np.any(v):
+        return x
+    th = np.linalg.norm(v, axis=1, keepdims=True)
+    safe = np.where(th > 0, th, 1.0)
+    small = th < 1e-9
+    out = np.where(small, x + v, np.cos(th) * x + (np.sin(th) / safe) * v)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    return out
+
+
+def parent_oblique_dist(x, y):
+    c = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
+    s = np.linalg.norm(y - c[:, None] * x, axis=1)
+    return float(np.linalg.norm(np.arctan2(s, c)))
+
+
+def oblique_tangent(man, x, row_norms, rng):
+    """Tangent at x whose rows have the given norms."""
+    g = man.project_tangent(x, rng.standard_normal(man.shape)).coords
+    return Tangent(x, g / np.linalg.norm(g, axis=1, keepdims=True) * row_norms[:, None])
+
+
+class TestLeanKernelsSameBits:
+    """The row kernels give the bits of the expressions they replaced."""
+
+    DRAWS = 200
+
+    @staticmethod
+    def draw(k):
+        rng = np.random.default_rng(k)
+        man = Oblique(*[(100, 20), (7, 3), (1, 2)][k % 3])
+        return man, man.random_point(rng), rng
+
+    def test_exp_all_rows_normal(self):
+        for k in range(self.DRAWS):
+            man, x, rng = self.draw(k)
+            v = oblique_tangent(man, x, rng.uniform(1e-6, 3.0, man.d), rng)
+            assert np.array_equal(man.exp(x, v).coords, parent_oblique_exp(x.coords, v.coords))
+
+    def test_exp_zero_tiny_and_normal_rows(self):
+        for k in range(self.DRAWS):
+            man, x, rng = self.draw(k)
+            norms = rng.choice([0.0, 1e-12, 5e-10, 0.3, 2.0], size=man.d)
+            norms[rng.integers(man.d)] = rng.choice([0.0, 1e-12, 5e-10])  # at least one small
+            v = oblique_tangent(man, x, norms, rng)
+            assert np.array_equal(man.exp(x, v).coords, parent_oblique_exp(x.coords, v.coords))
+
+    def test_exp_zero_tangent_returns_the_point(self):
+        man, x, _ = self.draw(0)
+        assert man.exp(x, Tangent(x, np.zeros(man.shape))) is x
+
+    def test_dist_and_tangent_norm(self):
+        for k in range(self.DRAWS):
+            man, x, rng = self.draw(k)
+            y = man.random_point(rng)
+            assert man.dist(x, y) == parent_oblique_dist(x.coords, y.coords)
+            v = oblique_tangent(man, x, rng.uniform(0.0, 3.0, man.d), rng)
+            assert v.norm() == float(np.linalg.norm(v.coords))
+            w = Tangent(S3.random_point(rng), rng.standard_normal(3))
+            assert w.norm() == float(np.linalg.norm(w.coords))
+
+
+def tangent_at_random_point(man, coords):
+    return Tangent(man.random_point(np.random.default_rng(0)), coords)
+
+
+class TestCoordsOwnership:
+    @pytest.mark.parametrize("make", [Point, tangent_at_random_point], ids=["point", "tangent"])
+    def test_writeable_source_or_readonly_view_is_copied(self, make):
+        man = Oblique(3, 2)
+        src = np.full((3, 2), 0.5 ** 0.5)
+        made = make(man, src)
+        src[0, 0] = 9.0
+        assert made.coords[0, 0] == 0.5 ** 0.5
+        base = np.full((2, 3, 2), 0.5 ** 0.5)
+        view = base[0]
+        view.flags.writeable = False
+        made = make(man, view)
+        base[0, 0, 0] = 9.0
+        assert made.coords[0, 0] == 0.5 ** 0.5
+        assert not made.coords.flags.writeable
+
+    def test_readonly_owned_array_is_shared(self):
+        man = Oblique(3, 2)
+        src = np.full((3, 2), 0.5 ** 0.5)
+        src.flags.writeable = False
+        assert Point(man, src).coords is src
 
 
 class TestStiefel:

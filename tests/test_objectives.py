@@ -70,6 +70,80 @@ class TestValue:
         assert obj.value(y) == pytest.approx(1.0)
 
 
+def kpca_draw(k):
+    rng = np.random.default_rng(k)
+    n = 5 + k % 4
+    g = rng.standard_normal((n, n))
+    obj = KPCA((g + g.T) / 2.0, 1 + k % 3)
+    return obj, obj.manifold.random_point(rng), rng
+
+
+def bm_draw(k):
+    rng = np.random.default_rng(k)
+    d, p = [(100, 20), (12, 3)][k % 2]
+    a = np.zeros((d, d))
+    g = rng.standard_normal((5, 5))
+    a[:5, :5] = (g + g.T) / 2.0
+    if k % 4 == 1:  # a dense instance as well as the block one
+        g = rng.standard_normal((d, d))
+        a = (g + g.T) / 2.0
+    obj = BurerMonteiro(a, p)
+    return obj, obj.manifold.random_point(rng), rng
+
+
+class TestQuadraticFormSameBits:
+    """value and ambient_grad give the bits of the parent's expressions,
+    before and after the cached product is reused by rgrad."""
+
+    def test_kpca(self):
+        for k in range(200):
+            obj, x, _ = kpca_draw(k)
+            h, c = obj.h, x.coords
+            assert obj.value(x) == -0.5 * float(np.sum(c * (h @ c)))
+            assert np.array_equal(obj.ambient_grad(x), -h @ c)
+            obj.rgrad(x)
+            assert obj.value(x) == -0.5 * float(np.sum(c * (h @ c)))
+
+    def test_burer_monteiro(self):
+        for k in range(200):
+            obj, y, _ = bm_draw(k)
+            a, c = obj.a, y.coords
+            assert obj.value(y) == 0.5 * float(np.sum(c * (a @ c)))
+            assert np.array_equal(obj.ambient_grad(y), a @ c)
+            obj.rgrad(y)
+            assert obj.value(y) == 0.5 * float(np.sum(c * (a @ c)))
+
+
+class TestQuadraticFormCache:
+    @pytest.mark.parametrize("draw", [kpca_draw, bm_draw], ids=["kpca", "bm"])
+    def test_other_point_in_between_does_not_leak(self, draw):
+        obj, x1, rng = draw(3)
+        x2 = obj.manifold.random_point(rng)
+        v1 = obj.value(x1)
+        g2 = obj.rgrad(x2)
+        fresh, _, _ = draw(3)
+        assert obj.value(x1) == v1 == fresh.value(x1)
+        assert np.array_equal(obj.rgrad(x1).coords, fresh.rgrad(x1).coords)
+        assert np.array_equal(g2.coords, draw(3)[0].rgrad(x2).coords)
+
+    @pytest.mark.parametrize("draw", [kpca_draw, bm_draw], ids=["kpca", "bm"])
+    def test_ambient_grad_is_read_only(self, draw):
+        obj, x, _ = draw(0)
+        g = obj.ambient_grad(x)
+        with pytest.raises(ValueError):
+            g[0, 0] = 1.0
+
+    def test_constructor_messages(self):
+        with pytest.raises(ValueError, match="H must be square"):
+            KPCA(np.zeros((2, 3)), 1)
+        with pytest.raises(ValueError, match="A must be square"):
+            BurerMonteiro(np.zeros((2, 3)), 2)
+        with pytest.raises(ValueError, match="manifold shape does not match"):
+            KPCA(H5, 2, Grassmann(5, 3))
+        with pytest.raises(ValueError, match="manifold shape does not match"):
+            BurerMonteiro(np.eye(3), 2, Oblique(3, 3))
+
+
 class TestGradient:
     def test_zero_at_quadratic_saddle(self):
         assert fig_objective().rgrad(saddle_point()).norm() <= 1e-14
