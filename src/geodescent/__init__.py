@@ -11,7 +11,6 @@ from .manifolds import (
     Oblique,
     Point,
     Sphere,
-    Stiefel,
     Tangent,
 )
 from .objectives import (

@@ -334,9 +334,8 @@ def write_trace_csv(path: str, result: RunResult):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,gradnorm,step_norm,perturbed,dist_to_start\n")
         for row in result.trace.rows:
-            dts = fmt(row.dist_to_start) if row.dist_to_start is not None else ""
             fh.write(f"{row.t},{fmt(row.f)},{fmt(row.gradnorm)},"
-                     f"{fmt(row.step_norm)},{fmt(row.perturbed)},{dts}\n")
+                     f"{fmt(row.step_norm)},{fmt(row.perturbed)},{fmt(row.dist_to_start)}\n")
 
 
 def write_summary(path: str, summary: dict):

@@ -1,7 +1,7 @@
 """Manifolds with closed-form exponential maps, log maps and parallel transport.
 
 Every manifold stores points in ambient coordinates: vectors for the sphere
-and Euclidean space, matrices with orthonormal columns for Stiefel/Grassmann,
+and Euclidean space, matrices with orthonormal columns for Grassmann,
 matrices with unit-norm rows for the oblique manifold.  The metric is the
 ambient Frobenius (dot) product restricted to tangent spaces in all cases.
 """
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 FEAS_TOL = 1e-10      # feasibility residual allowed on points
 TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
@@ -24,7 +23,8 @@ class GeometryError(ValueError):
 
 
 class CapabilityError(RuntimeError):
-    """The requested operation has no closed form on this manifold."""
+    """A check needs an oracle the problem lacks: `verify.check_linearization`
+    raises it for objectives without a closed-form Hessian."""
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ class Manifold:
         else:  # pragma: no cover - probability zero
             raise RuntimeError("failed to draw a nonzero tangent direction")
         norm = radius * rng.uniform() ** (1.0 / d)
-        return Tangent(x, (norm / gn) * g)
+        return Tangent(x, readonly((norm / gn) * g))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         raise NotImplementedError
@@ -208,11 +208,11 @@ class Manifold:
 
 
 def _qr_sign_fixed(y: np.ndarray) -> np.ndarray:
-    """Thin QR with positive diagonal of R; absorbs rounding drift only."""
+    """Thin QR with positive diagonal of R, read-only; absorbs rounding drift only."""
     q, r = np.linalg.qr(y)
     s = np.sign(np.diag(r))
     s[s == 0] = 1.0
-    return q * s
+    return readonly(q * s)
 
 
 class Euclidean(Manifold):
@@ -238,11 +238,11 @@ class Euclidean(Manifold):
         self._check_base(x, v)
         if not np.any(v.coords):
             return x
-        return Point(self, x.coords + v.coords)
+        return Point(self, readonly(x.coords + v.coords))
 
     def log(self, x, y):
         self._check_pair(x, y)
-        return Tangent(x, y.coords - x.coords)
+        return Tangent(x, readonly(y.coords - x.coords))
 
     def dist(self, x, y):
         self._check_pair(x, y)
@@ -259,7 +259,7 @@ class Euclidean(Manifold):
         return Tangent(x, a)
 
     def random_point(self, rng):
-        return Point(self, rng.standard_normal(self.n))
+        return Point(self, readonly(rng.standard_normal(self.n)))
 
 
 class Sphere(Manifold):
@@ -292,7 +292,7 @@ class Sphere(Manifold):
             y = x.coords + v.coords  # cubic error, below rounding at this scale
         else:
             y = math.cos(th) * x.coords + (math.sin(th) / th) * v.coords
-        return Point(self, y / np.linalg.norm(y))
+        return Point(self, readonly(y / np.linalg.norm(y)))
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -305,8 +305,8 @@ class Sphere(Manifold):
                 f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
             )
         if s < 1e-300:
-            return Tangent(x, np.zeros_like(x.coords))
-        return Tangent(x, (d / s) * u)
+            return Tangent(x, readonly(np.zeros_like(x.coords)))
+        return Tangent(x, readonly((d / s) * u))
 
     def dist(self, x, y):
         self._check_pair(x, y)
@@ -326,16 +326,16 @@ class Sphere(Manifold):
         xy = x.coords + y.coords
         out = w.coords - (np.dot(xy, w.coords) / (1.0 + c)) * xy
         # kill rounding in the normal direction
-        return Tangent(y, out - np.dot(y.coords, out) * y.coords)
+        return Tangent(y, readonly(out - np.dot(y.coords, out) * y.coords))
 
     def project_tangent(self, x, a):
         self._check_point(x)
         a = self._as_ambient(a)
-        return Tangent(x, a - np.dot(x.coords, a) * x.coords)
+        return Tangent(x, readonly(a - np.dot(x.coords, a) * x.coords))
 
     def random_point(self, rng):
         g = rng.standard_normal(self.n)
-        return Point(self, g / np.linalg.norm(g))
+        return Point(self, readonly(g / np.linalg.norm(g)))
 
 
 class Oblique(Manifold):
@@ -364,9 +364,11 @@ class Oblique(Manifold):
         return float(np.max(np.abs(np.sum(x.coords * coords, axis=1))))
 
     def _row_angles(self, x: np.ndarray, y: np.ndarray):
+        """Per row: the angle from x to y, its cosine c, u = y - c x and |u|."""
         c = np.minimum(np.maximum(np.add.reduce(x * y, axis=1), -1.0), 1.0)
-        s = _row_norms(y - c[:, None] * x)[:, 0]
-        return np.arctan2(s, c), c
+        u = y - c[:, None] * x
+        s = _row_norms(u)[:, 0]
+        return np.arctan2(s, c), c, u, s
 
     def _guard_rows(self, d_rows: np.ndarray, what: str):
         bad = np.nonzero(d_rows >= math.pi - 1e-12)[0]
@@ -391,29 +393,26 @@ class Oblique(Manifold):
 
     def log(self, x, y):
         self._check_pair(x, y)
-        c = np.clip(np.sum(x.coords * y.coords, axis=1), -1.0, 1.0)
-        u = y.coords - c[:, None] * x.coords
-        s = np.linalg.norm(u, axis=1)
-        d_rows = np.arctan2(s, c)
+        d_rows, _, u, s = self._row_angles(x.coords, y.coords)
         self._guard_rows(d_rows, "log")
         factor = np.where(s > 1e-300, d_rows / np.where(s > 0, s, 1.0), 0.0)
-        return Tangent(x, factor[:, None] * u)
+        return Tangent(x, readonly(factor[:, None] * u))
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        d_rows, _ = self._row_angles(x.coords, y.coords)
+        d_rows = self._row_angles(x.coords, y.coords)[0]
         return math.sqrt(d_rows.dot(d_rows))
 
     def transport(self, x, y, w):
         self._check_base(x, w)
         self._check_point(y)
-        d_rows, c = self._row_angles(x.coords, y.coords)
+        d_rows, c, _, _ = self._row_angles(x.coords, y.coords)
         self._guard_rows(d_rows, "transport")
         xy = x.coords + y.coords
         coef = np.sum(xy * w.coords, axis=1) / (1.0 + c)
         out = w.coords - coef[:, None] * xy
         out -= np.sum(y.coords * out, axis=1)[:, None] * y.coords
-        return Tangent(y, out)
+        return Tangent(y, readonly(out))
 
     def project_tangent(self, x, a):
         self._check_point(x)
@@ -423,7 +422,7 @@ class Oblique(Manifold):
 
     def random_point(self, rng):
         g = rng.standard_normal(self.shape)
-        return Point(self, g / np.linalg.norm(g, axis=1, keepdims=True))
+        return Point(self, readonly(g / np.linalg.norm(g, axis=1, keepdims=True)))
 
 
 class Grassmann(Manifold):
@@ -473,7 +472,7 @@ class Grassmann(Manifold):
         u, s, vt = np.linalg.svd(t, full_matrices=False)
         out = (u * np.arctan(s)) @ vt
         # clean rounding so tangency holds to working precision
-        return Tangent(x, out - x.coords @ (x.coords.T @ out))
+        return Tangent(x, readonly(out - x.coords @ (x.coords.T @ out)))
 
     def dist(self, x, y):
         self._check_pair(x, y)
@@ -492,76 +491,13 @@ class Grassmann(Manifold):
         u, s, vt = u[:, keep], s[keep], vt[keep]
         uw = u.T @ w.coords
         out = w.coords + (u * (np.cos(s) - 1.0)) @ uw - (x.coords @ (vt.T * np.sin(s))) @ uw
-        return Tangent(y, out - y.coords @ (y.coords.T @ out))
+        return Tangent(y, readonly(out - y.coords @ (y.coords.T @ out)))
 
     def project_tangent(self, x, a):
         self._check_point(x)
         a = self._as_ambient(a)
-        return Tangent(x, a - x.coords @ (x.coords.T @ a))
+        return Tangent(x, readonly(a - x.coords @ (x.coords.T @ a)))
 
     def random_point(self, rng):
         return Point(self, _qr_sign_fixed(rng.standard_normal(self.shape)))
 
-
-class Stiefel(Manifold):
-    """Stiefel manifold of n x k orthonormal frames.
-
-    The geodesic (for the embedded metric) has a closed form through a 2k x 2k
-    matrix exponential.  There is no closed-form log, so log, dist and
-    transport raise CapabilityError; use Grassmann when those maps are needed.
-    """
-
-    def __init__(self, n: int, k: int):
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= n")
-        self.n = n
-        self.k = k
-        self.name = f"stiefel({n},{k})"
-        self.shape = (n, k)
-
-    def geometry(self) -> GeometryInfo:
-        return GeometryInfo(1.0, math.pi / 2, self.n * self.k - self.k * (self.k + 1) // 2)
-
-    def feasibility_residual(self, coords):
-        g = coords.T @ coords
-        return float(np.linalg.norm(g - np.eye(self.k)))
-
-    def tangency_residual(self, x, coords):
-        m = x.coords.T @ coords
-        return float(np.linalg.norm(m + m.T))
-
-    def exp(self, x, v):
-        # geodesic X(t) = [X, V] expm(t [[A, -S], [I, A]]) [I; 0] expm(-t A),
-        # A = X^T V (skew), S = V^T V
-        self._check_base(x, v)
-        if not np.any(v.coords):
-            return x
-        a = x.coords.T @ v.coords
-        s = v.coords.T @ v.coords
-        k = self.k
-        block = np.zeros((2 * k, 2 * k))
-        block[:k, :k] = a
-        block[:k, k:] = -s
-        block[k:, :k] = np.eye(k)
-        block[k:, k:] = a
-        big = expm(block)
-        y = (np.hstack([x.coords, v.coords]) @ big[:, :k]) @ expm(-a)
-        return Point(self, _qr_sign_fixed(y))
-
-    def log(self, x, y):
-        raise CapabilityError(f"{self.name}: no closed-form log map")
-
-    def dist(self, x, y):
-        raise CapabilityError(f"{self.name}: no closed-form distance (requires log)")
-
-    def transport(self, x, y, w):
-        raise CapabilityError(f"{self.name}: no closed-form parallel transport (requires log)")
-
-    def project_tangent(self, x, a):
-        self._check_point(x)
-        a = self._as_ambient(a)
-        m = x.coords.T @ a
-        return Tangent(x, a - x.coords @ ((m + m.T) / 2.0))
-
-    def random_point(self, rng):
-        return Point(self, _qr_sign_fixed(rng.standard_normal(self.shape)))

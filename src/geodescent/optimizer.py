@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import CapabilityError, Point, Tangent, readonly
+from .manifolds import Point, Tangent, readonly
 from .objectives import Objective
 
 STATUS_SECOND_ORDER = "second-order-point"
@@ -173,7 +173,7 @@ class TraceRow:
     gradnorm: float
     step_norm: float
     perturbed: bool
-    dist_to_start: float | None
+    dist_to_start: float
 
 
 @dataclass
@@ -213,13 +213,6 @@ class OptState:
     @classmethod
     def initial(cls, x0: Point, thr: ThresholdSet) -> "OptState":
         return cls(x=x0, t=0, t_noise=-thr.t_thres - 1, x_tilde=None, x_start=x0)
-
-
-def _safe_dist(man, a: Point, b: Point) -> float | None:
-    try:
-        return man.dist(a, b)
-    except CapabilityError:
-        return None
 
 
 def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> RunResult:
@@ -276,14 +269,14 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         g_out = obj.rgrad(xt)
         state.trace.rows.append(TraceRow(
             t=state.t, f=fx, gradnorm=gnorm, step_norm=0.0, perturbed=False,
-            dist_to_start=_safe_dist(man, x, state.x_start),
+            dist_to_start=man.dist(x, state.x_start),
         ))
         return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
 
     x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, thr.injectivity)
     state.trace.rows.append(TraceRow(
         t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed,
-        dist_to_start=_safe_dist(man, x, state.x_start),
+        dist_to_start=man.dist(x, state.x_start),
     ))
     state.x = x_next
     state.t += 1
@@ -324,13 +317,12 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
             status = STATUS_STEP_FAILURE
             break
         if gnorm <= g_tol:
-            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False,
-                                       _safe_dist(man, x, x0)))
+            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False, man.dist(x, x0)))
             status = STATUS_FIRST_ORDER
             break
         x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta, inj)
         trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False,
-                                   _safe_dist(man, x, x0)))
+                                   man.dist(x, x0)))
         x = x_next
     else:
         status = STATUS_ITERATION_CAP

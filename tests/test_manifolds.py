@@ -1,19 +1,22 @@
+import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import subspace_angles
 
 from geodescent import (
-    CapabilityError,
     Euclidean,
     GeometryError,
     Grassmann,
+    Manifold,
     Oblique,
     Point,
     Sphere,
-    Stiefel,
     Tangent,
+    manifolds,
 )
 
 S3 = Sphere(3)
@@ -109,7 +112,7 @@ class TestValidation:
             S3.project_tangent(x, np.zeros(4))
         with pytest.raises(ValueError, match="shape"):
             S3.point(np.zeros(4))
-        for man in (S3, Euclidean(3), Oblique(2, 3), Grassmann(3, 1), Stiefel(3, 2)):
+        for man in (S3, Euclidean(3), Oblique(2, 3), Grassmann(3, 1)):
             x = man.random_point(np.random.default_rng(0))
             bad = np.zeros(man.shape + (1,))
             for call, what in ((lambda: man.point(bad), "coords of shape"),
@@ -206,6 +209,16 @@ def parent_oblique_dist(x, y):
     return float(np.linalg.norm(np.arctan2(s, c)))
 
 
+def parent_oblique_log(x, y):
+    """`Oblique.log` as written before it shared `_row_angles`: the reference."""
+    c = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
+    u = y - c[:, None] * x
+    s = np.linalg.norm(u, axis=1)
+    d_rows = np.arctan2(s, c)
+    factor = np.where(s > 1e-300, d_rows / np.where(s > 0, s, 1.0), 0.0)
+    return factor[:, None] * u
+
+
 def oblique_tangent(man, x, row_norms, rng):
     """Tangent at x whose rows have the given norms."""
     g = man.project_tangent(x, rng.standard_normal(man.shape)).coords
@@ -251,6 +264,18 @@ class TestLeanKernelsSameBits:
             w = Tangent(S3.random_point(rng), rng.standard_normal(3))
             assert w.norm() == float(np.linalg.norm(w.coords))
 
+    def test_log_random_and_nearby_rows(self):
+        for k in range(self.DRAWS):
+            man, x, rng = self.draw(k)
+            norms = rng.choice([0.0, 1e-12, 5e-10, 0.3, 2.0, 3.1], size=man.d)
+            for y in (man.random_point(rng), man.exp(x, oblique_tangent(man, x, norms, rng))):
+                assert np.array_equal(man.log(x, y).coords, parent_oblique_log(x.coords, y.coords))
+
+    def test_log_of_identical_basis_rows(self):
+        man = Oblique(3, 2)
+        x = man.point(np.eye(2)[[0, 1, 0]])
+        assert np.array_equal(man.log(x, x).coords, parent_oblique_log(x.coords, x.coords))
+
 
 def tangent_at_random_point(man, coords):
     return Tangent(man.random_point(np.random.default_rng(0)), coords)
@@ -278,55 +303,49 @@ class TestCoordsOwnership:
         src.flags.writeable = False
         assert Point(man, src).coords is src
 
+    @pytest.mark.parametrize("man", [Sphere(3), Grassmann(5, 3), Oblique(3, 4)], ids=lambda m: m.name)
+    def test_map_results_are_kept_without_a_second_copy(self, man, monkeypatch):
+        """Each map marks the array it allocates read-only, so `Point`/`Tangent`
+        keep it instead of copying it again."""
+        freeze, kept = manifolds._freeze, []
 
-class TestStiefel:
-    def test_small_step_stays_close(self):
-        man = Stiefel(4, 2)
-        x = man.point(np.eye(4)[:, :2])
-        rng = np.random.default_rng(0)
-        v = man.project_tangent(x, rng.standard_normal((4, 2)))
-        v = Tangent(x, 1e-8 * v.coords / v.norm())
-        y = man.exp(x, v)
-        assert np.linalg.norm(y.coords - x.coords) <= 2e-8
+        def spy(a):
+            out = freeze(a)
+            kept.append(out is a)
+            return out
 
-    def test_exp_keeps_orthonormal_and_matches_velocity(self):
-        man = Stiefel(5, 2)
-        rng = np.random.default_rng(1)
-        x = man.random_point(rng)
-        v = man.project_tangent(x, rng.standard_normal((5, 2)))
-        y = man.exp(x, v)
-        assert man.feasibility_residual(y.coords) < 1e-12
-        # finite-difference initial velocity of the geodesic
-        t = 1e-6
-        yt = man.exp(x, Tangent(x, t * v.coords))
-        fd = (yt.coords - x.coords) / t
-        assert np.linalg.norm(fd - v.coords) < 1e-4 * (1 + v.norm())
+        def check(call):
+            kept.clear()
+            out = call()
+            assert kept and all(kept)
+            assert not out.coords.flags.writeable and out.coords.base is None
+            return out
 
-    def test_sphere_special_case(self):
-        # Stiefel(n, 1) geodesic must match the sphere closed form
-        man = Stiefel(3, 1)
-        x = man.point(np.array([[1.0], [0], [0]]))
-        v = man.tangent(x, np.array([[0.0], [math.pi / 2], [0]]))
-        y = man.exp(x, v)
-        assert np.allclose(np.abs(y.coords.ravel()), [0, 1, 0], atol=1e-12)
+        monkeypatch.setattr(manifolds, "_freeze", spy)
+        rng = np.random.default_rng(8)
+        x = check(lambda: man.random_point(rng))
+        v = check(lambda: man.sample_tangent_ball(x, 0.5, rng))
+        y = check(lambda: man.exp(x, v))
+        check(lambda: man.log(x, y))
+        check(lambda: man.log(x, x))
+        check(lambda: man.transport(x, y, v))
+        check(lambda: man.project_tangent(x, rng.standard_normal(man.shape)))
 
-    def test_capability_errors(self):
-        man = Stiefel(4, 2)
-        rng = np.random.default_rng(2)
-        x, y = man.random_point(rng), man.random_point(rng)
-        with pytest.raises(CapabilityError):
-            man.log(x, y)
-        with pytest.raises(CapabilityError):
-            man.dist(x, y)
-        with pytest.raises(CapabilityError):
-            man.transport(x, y, man.project_tangent(x, rng.standard_normal((4, 2))))
+    def test_project_tangent_never_marks_the_callers_array(self):
+        rng = np.random.default_rng(10)
+        for man in (Euclidean(3), Sphere(3), Grassmann(5, 3), Oblique(3, 4)):
+            a = rng.standard_normal(man.shape)
+            p = man.project_tangent(man.random_point(rng), a)
+            assert a.flags.writeable and p.coords is not a and not p.coords.flags.writeable
 
-    def test_projection_kills_symmetric_part(self):
-        man = Stiefel(3, 2)
-        x = man.point(np.eye(3)[:, :2])
-        s = np.array([[2.0, 0.5], [0.5, -1.0]])
-        out = man.project_tangent(x, x.coords @ s)
-        assert np.allclose(out.coords, 0.0, atol=1e-14)
+
+def subspace_angles(x, y):
+    """Principal angles between the spans of orthonormal x and y, by the
+    cosine/sine rule of `scipy.linalg.subspace_angles`: arcsin of the sines
+    where cos^2 >= 1/2, arccos of the cosines elsewhere."""
+    c = np.linalg.svd(x.T @ y, compute_uv=False)
+    s = np.linalg.svd(y - x @ (x.T @ y), compute_uv=False)[::-1]
+    return np.where(c ** 2 >= 0.5, np.arcsin(np.minimum(s, 1.0)), np.arccos(np.minimum(c, 1.0)))
 
 
 class TestGrassmann:
@@ -433,3 +452,33 @@ class TestInvariants:
             x = man.random_point(rng)
             v = man.sample_tangent_ball(x, 3.0, rng)
             assert man.feasibility_residual(man.exp(x, v).coords) <= 1e-10
+
+
+def make_manifold(cls):
+    """A small instance of a concrete manifold class: n = 4, or (5, 2)."""
+    return cls(4) if len(inspect.signature(cls).parameters) == 1 else cls(5, 2)
+
+
+@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
+def test_every_manifold_has_every_map(cls):
+    man = make_manifold(cls)
+    rng = np.random.default_rng(9)
+    x = man.random_point(rng)
+    y = man.exp(x, man.sample_tangent_ball(x, 0.5, rng))
+    v = man.log(x, y)
+    d = man.dist(x, y)
+    assert np.all(np.isfinite(v.coords)) and v.base is x
+    assert math.isfinite(d) and d == pytest.approx(v.norm(), abs=1e-10)
+    w = man.transport(x, y, v)
+    assert np.all(np.isfinite(w.coords)) and w.base is y
+    p = man.project_tangent(x, rng.standard_normal(man.shape))
+    assert np.all(np.isfinite(p.coords)) and p.base is x
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(manifolds.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, geodescent; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
