@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 
-from .manifolds import Euclidean, Grassmann, Oblique, Point, Sphere
+from .manifolds import Euclidean, Grassmann, Oblique, Point, Sphere, principal_angles
 from .objectives import (
     BurerMonteiro,
     DiagonalQuadratic,
@@ -238,12 +238,6 @@ def burer_monteiro_start(dim_d: int, p: int) -> np.ndarray:
     for i in range(dim_d):
         y0[i, min(i // rows_per_col, p - 1)] = 1.0
     return y0
-
-
-def principal_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Angles between the column spans of two orthonormal matrices."""
-    s = np.linalg.svd(x.T @ y, compute_uv=False)
-    return np.arccos(np.clip(s, 0.0, 1.0))
 
 
 def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):

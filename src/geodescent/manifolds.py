@@ -38,7 +38,7 @@ class GeometryInfo:
 
 def readonly(a: np.ndarray) -> np.ndarray:
     """Mark a fresh array read-only, so `Point`/`Tangent` keep it uncopied."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -46,6 +46,18 @@ def _freeze(a) -> np.ndarray:
     if type(a) is np.ndarray and a.base is None and not a.flags.writeable and a.dtype is _F8:
         return a
     return readonly(np.array(a, dtype=float))
+
+
+def _norm(a: np.ndarray) -> float:
+    """`float(np.linalg.norm(a))`, same bits, without its Python wrapper."""
+    c = a.ravel(order="K")
+    return math.sqrt(c.dot(c))
+
+
+def principal_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Angles between the column spans of two orthonormal matrices."""
+    s = np.linalg.svd(x.T @ y, compute_uv=False)
+    return np.arccos(np.minimum(np.maximum(s, 0.0), 1.0))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -86,8 +98,7 @@ class Tangent:
         return self.base.manifold
 
     def norm(self) -> float:
-        c = self.coords.ravel(order="K")
-        return math.sqrt(c.dot(c))
+        return _norm(self.coords)
 
     def __repr__(self):
         return f"Tangent({self.manifold.name}, norm={self.norm():.4g})"
@@ -156,7 +167,7 @@ class Manifold:
         self._check_point(x)
         self._check_base(x, u)
         self._check_base(x, v)
-        return float(np.sum(u.coords * v.coords))
+        return float(np.add.reduce(u.coords * v.coords, axis=None))
 
     def sample_tangent_ball(self, x: Point, radius: float, rng: np.random.Generator) -> Tangent:
         """Uniform sample from the radius-`radius` ball in the tangent space.
@@ -171,7 +182,7 @@ class Manifold:
         d = self.geometry().dimension
         for _ in range(100):
             g = self.project_tangent(x, rng.standard_normal(self.shape)).coords
-            gn = np.linalg.norm(g)
+            gn = _norm(g)
             if gn > 1e-12:
                 break
         else:  # pragma: no cover - probability zero
@@ -210,7 +221,7 @@ class Manifold:
 def _qr_sign_fixed(y: np.ndarray) -> np.ndarray:
     """Thin QR with positive diagonal of R, read-only; absorbs rounding drift only."""
     q, r = np.linalg.qr(y)
-    s = np.sign(np.diag(r))
+    s = np.sign(r.diagonal())
     s[s == 0] = 1.0
     return readonly(q * s)
 
@@ -236,7 +247,7 @@ class Euclidean(Manifold):
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if not np.any(v.coords):
+        if not v.coords.any():
             return x
         return Point(self, readonly(x.coords + v.coords))
 
@@ -246,7 +257,7 @@ class Euclidean(Manifold):
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        return float(np.linalg.norm(y.coords - x.coords))
+        return _norm(y.coords - x.coords)
 
     def transport(self, x, y, w):
         self._check_base(x, w)
@@ -276,29 +287,30 @@ class Sphere(Manifold):
         return GeometryInfo(1.0, math.pi, self.n - 1)
 
     def feasibility_residual(self, coords):
-        return abs(float(np.linalg.norm(coords)) - 1.0)
+        return abs(_norm(coords) - 1.0)
 
     def tangency_residual(self, x, coords):
-        return abs(float(np.dot(x.coords, coords)))
+        return abs(float(x.coords.dot(coords)))
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if not np.any(v.coords):
+        if not v.coords.any():
             return x
-        th = np.linalg.norm(v.coords)
+        th = _norm(v.coords)
         if th == 0.0:  # the norm underflowed although some entry is nonzero
             return x
         if th < 1e-9:
             y = x.coords + v.coords  # cubic error, below rounding at this scale
         else:
             y = math.cos(th) * x.coords + (math.sin(th) / th) * v.coords
-        return Point(self, readonly(y / np.linalg.norm(y)))
+        return Point(self, readonly(y / _norm(y)))
 
     def log(self, x, y):
         self._check_pair(x, y)
-        c = float(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0))
+        # `c` first in `max`, so a NaN stays NaN as it does through np.clip
+        c = min(max(float(x.coords.dot(y.coords)), -1.0), 1.0)
         u = y.coords - c * x.coords
-        s = float(np.linalg.norm(u))
+        s = _norm(u)
         d = math.atan2(s, c)
         if d >= math.pi - 1e-12:
             raise GeometryError(
@@ -310,32 +322,33 @@ class Sphere(Manifold):
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        c = float(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0))
-        s = float(np.linalg.norm(y.coords - c * x.coords))
-        return math.atan2(s, c)
+        c = min(max(float(x.coords.dot(y.coords)), -1.0), 1.0)
+        return math.atan2(_norm(y.coords - c * x.coords), c)
 
     def transport(self, x, y, w):
         self._check_base(x, w)
         self._check_point(y)
-        self._check_injectivity(self.dist(x, y), "transport")
-        c = float(np.dot(x.coords, y.coords))
+        self._check_point(x)
+        c = float(x.coords.dot(y.coords))
+        cc = min(max(c, -1.0), 1.0)  # the angle as `dist` computes it
+        self._check_injectivity(math.atan2(_norm(y.coords - cc * x.coords), cc), "transport")
         if c <= -1.0 + 1e-12:
             raise GeometryError(
                 f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
             )
         xy = x.coords + y.coords
-        out = w.coords - (np.dot(xy, w.coords) / (1.0 + c)) * xy
+        out = w.coords - (xy.dot(w.coords) / (1.0 + c)) * xy
         # kill rounding in the normal direction
-        return Tangent(y, readonly(out - np.dot(y.coords, out) * y.coords))
+        return Tangent(y, readonly(out - y.coords.dot(out) * y.coords))
 
     def project_tangent(self, x, a):
         self._check_point(x)
         a = self._as_ambient(a)
-        return Tangent(x, readonly(a - np.dot(x.coords, a) * x.coords))
+        return Tangent(x, readonly(a - x.coords.dot(a) * x.coords))
 
     def random_point(self, rng):
         g = rng.standard_normal(self.n)
-        return Point(self, readonly(g / np.linalg.norm(g)))
+        return Point(self, readonly(g / _norm(g)))
 
 
 class Oblique(Manifold):
@@ -382,7 +395,7 @@ class Oblique(Manifold):
         self._check_base(x, v)
         th = _row_norms(v.coords)
         small = th.min() < 1e-9  # rows with th < 1e-9 take the step x + v
-        if small and not np.any(v.coords):  # only a small row can be all zero
+        if small and not v.coords.any():  # only a small row can be all zero
             return x
         out = np.cos(th) * x.coords
         out += (np.sin(th) / (np.where(th > 0, th, 1.0) if small else th)) * v.coords
@@ -451,14 +464,14 @@ class Grassmann(Manifold):
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords
-        return float(np.linalg.norm(g - np.eye(self.k)))
+        return _norm(g - np.eye(self.k))
 
     def tangency_residual(self, x, coords):
-        return float(np.linalg.norm(x.coords.T @ coords))
+        return _norm(x.coords.T @ coords)
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if not np.any(v.coords):
+        if not v.coords.any():
             return x
         u, s, vt = np.linalg.svd(v.coords, full_matrices=False)
         y = x.coords @ (vt.T * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
@@ -476,9 +489,7 @@ class Grassmann(Manifold):
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        s = np.linalg.svd(x.coords.T @ y.coords, compute_uv=False)
-        theta = np.arccos(np.clip(s, 0.0, 1.0))
-        return float(np.linalg.norm(theta))
+        return _norm(principal_angles(x.coords, y.coords))
 
     def transport(self, x, y, w):
         self._check_base(x, w)
@@ -486,7 +497,7 @@ class Grassmann(Manifold):
         xi = self.log(x, y)  # enforces the injectivity precondition
         u, s, vt = np.linalg.svd(xi.coords, full_matrices=False)
         keep = s > 1e-14
-        if not np.any(keep):
+        if not keep.any():
             return Tangent(y, w.coords)
         u, s, vt = u[:, keep], s[keep], vt[keep]
         uw = u.T @ w.coords

@@ -16,6 +16,7 @@ from .manifolds import (
     Point,
     Sphere,
     Tangent,
+    _norm,
     readonly,
 )
 
@@ -137,7 +138,7 @@ class BurerMonteiro(_QuadraticForm):
 
 def default_fd_step(x: Point, v: Tangent) -> float:
     """Central-difference step balancing truncation against rounding."""
-    return EPS_MACH ** (1.0 / 3.0) * (1.0 + float(np.linalg.norm(x.coords))) / (1.0 + v.norm())
+    return EPS_MACH ** (1.0 / 3.0) * (1.0 + _norm(x.coords)) / (1.0 + v.norm())
 
 
 def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) -> Tangent:
@@ -150,8 +151,8 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     """
     man = obj.manifold
     man._check_base(x, v)
-    if not np.any(v.coords):
-        return Tangent(x, np.zeros_like(v.coords))
+    if not v.coords.any():
+        return Tangent(x, readonly(np.zeros_like(v.coords)))
     s = default_fd_step(x, v) if step is None else float(step)
     if s <= 0:
         raise ValueError(f"step must be positive, got {s}")
@@ -162,9 +163,8 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
             f"finite-difference geodesic of length {reach:.3g} leaves the "
             f"injectivity ball (radius {inj:.3g})"
         )
-    sv = Tangent(x, s * v.coords)
-    x_plus = man.exp(x, sv)
-    x_minus = man.exp(x, Tangent(x, -s * v.coords))
+    x_plus = man.exp(x, Tangent(x, readonly(s * v.coords)))
+    x_minus = man.exp(x, Tangent(x, readonly(-s * v.coords)))
     g_plus = man.transport(x_plus, x, obj.rgrad(x_plus))
     g_minus = man.transport(x_minus, x, obj.rgrad(x_minus))
     return man.project_tangent(x, (g_plus.coords - g_minus.coords) / (2.0 * s))
@@ -177,7 +177,7 @@ def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
     while n < 1e-12:  # pragma: no cover - probability zero
         t = man.project_tangent(x, rng.standard_normal(man.shape))
         n = t.norm()
-    return Tangent(x, t.coords / n)
+    return Tangent(x, readonly(t.coords / n))
 
 
 def hess_operator(obj: Objective, x: Point):
@@ -227,7 +227,7 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
     sigma = 0.0
     for _ in range(5):
         u = unit_tangent(man, x, rng)
-        sigma = max(sigma, abs(float(np.sum(u.coords * op(u).coords))))
+        sigma = max(sigma, abs(float(np.add.reduce(u.coords * op(u).coords, axis=None))))
     u = unit_tangent(man, x, rng)
     for _ in range(20):
         hu = op(u)
@@ -235,7 +235,7 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
         if n < 1e-14:
             break
         sigma = max(sigma, n)
-        u = Tangent(x, hu.coords / n)
+        u = Tangent(x, readonly(hu.coords / n))
     sigma = 1.5 * sigma + tol
 
     basis: list[np.ndarray] = []
@@ -245,14 +245,14 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
             return
         c = t.coords.copy()
         for b in basis:
-            c -= float(np.sum(b * c)) * b
-        n = float(np.linalg.norm(c))
+            c -= float(np.add.reduce(b * c, axis=None)) * b
+        n = _norm(c)
         if n > 1e-10:
-            basis.append(c / n)
+            basis.append(readonly(c / n))
 
     v = unit_tangent(man, x, rng)
     absorb(v)
-    rq_prev = float(np.sum(v.coords * op(v).coords))
+    rq_prev = float(np.add.reduce(v.coords * op(v).coords, axis=None))
     converged = False
     for _ in range(max_iters):
         hv = op(v)
@@ -262,9 +262,9 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
             # shifted operator annihilates v: spectrum is {sigma}-degenerate
             converged = True
             break
-        v = Tangent(x, w.coords / n)
+        v = Tangent(x, readonly(w.coords / n))
         absorb(v)
-        rq = float(np.sum(v.coords * op(v).coords))
+        rq = float(np.add.reduce(v.coords * op(v).coords, axis=None))
         if abs(rq - rq_prev) <= 0.1 * tol:
             rq_prev = rq
             converged = True
@@ -284,14 +284,13 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
         t_mat = np.empty((k, k))
         for i in range(k):
             for j in range(k):
-                t_mat[i, j] = float(np.sum(basis[i] * images[j]))
+                t_mat[i, j] = float(np.add.reduce(basis[i] * images[j], axis=None))
         t_mat = (t_mat + t_mat.T) / 2.0
         vals, vecs = np.linalg.eigh(t_mat)
         if vals[0] <= rq_prev:
             coeff = vecs[:, 0]
             direction = np.tensordot(coeff, np.asarray(basis), axes=1)
-            direction /= np.linalg.norm(direction)
-            return float(vals[0]), Tangent(x, direction)
+            return float(vals[0]), Tangent(x, readonly(direction / _norm(direction)))
     return rq_prev, v
 
 
@@ -338,7 +337,7 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
                 continue
             used += 1
             moved = man.transport(xi, xj, grads[i])
-            beta_hat = max(beta_hat, float(np.linalg.norm(grads[j].coords - moved.coords)) / d)
+            beta_hat = max(beta_hat, _norm(grads[j].coords - moved.coords) / d)
             op_i = hess_operator(obj, xi)
             op_j = hess_operator(obj, xj)
             pair_rng = np.random.default_rng([dir_base, i, j])
@@ -346,7 +345,7 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
                 t = unit_tangent(man, xi, pair_rng)
                 hj = op_j(man.transport(xi, xj, t))
                 hi_moved = man.transport(xi, xj, op_i(t))
-                rho_hat = max(rho_hat, float(np.linalg.norm(hj.coords - hi_moved.coords)) / d)
+                rho_hat = max(rho_hat, _norm(hj.coords - hi_moved.coords) / d)
     if used == 0:
         raise ValueError("all sampled pairs degenerate (distance < 1e-12)")
     return SmoothnessEstimate(beta_hat, rho_hat)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import CapabilityError, GeometryError, Manifold, Point, Tangent
+from .manifolds import CapabilityError, GeometryError, Manifold, Point, Tangent, _norm, readonly
 from .objectives import Objective, hess_operator, min_hess_eig, unit_tangent
 from .optimizer import ThresholdSet, clamped_step, classify_stationarity
 
@@ -57,7 +57,7 @@ def _in_window(slope: float, window: tuple[float, float]) -> bool:
 
 def _tangent_of_norm(man, x, norm, rng) -> Tangent:
     u = unit_tangent(man, x, rng)
-    return Tangent(x, norm * u.coords)
+    return Tangent(x, readonly(norm * u.coords))
 
 
 def _ratio(residual: float, bound: float) -> float:
@@ -81,10 +81,11 @@ def check_two_step(manifold: Manifold, n: int, scales, rng: np.random.Generator,
             a = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
             y = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
             z = manifold.exp(x, a)
-            p1 = manifold.exp(x, Tangent(x, a.coords + y.coords))
+            p1 = manifold.exp(x, Tangent(x, readonly(a.coords + y.coords)))
             p2 = manifold.exp(z, manifold.transport(x, z, y))
             res = manifold.dist(p1, p2)
-            bound = min(a.norm(), y.norm()) * (a.norm() + y.norm()) ** 2
+            na, ny = a.norm(), y.norm()
+            bound = min(na, ny) * (na + ny) ** 2
             worst = max(worst, res)
             max_ratio = max(max_ratio, _ratio(res, bound))
         max_res.append(worst)
@@ -113,7 +114,7 @@ def check_log_bilipschitz(manifold: Manifold, n: int, R_values, rng: np.random.G
             d = manifold.dist(y, z)
             if d < 1e-12:
                 continue
-            q = float(np.linalg.norm(manifold.log(x, y).coords - manifold.log(x, z).coords)) / d
+            q = _norm(manifold.log(x, y).coords - manifold.log(x, z).coords) / d
             dev = max(q - 1.0, 1.0 / q - 1.0, 0.0)
             worst = max(worst, dev)
             c3_fit = max(c3_fit, (q - 1.0) / R ** 2)
@@ -172,7 +173,7 @@ def check_holonomy(manifold: Manifold, n: int, scales, rng: np.random.Generator,
             w = unit_tangent(manifold, x, rng)
             via = manifold.transport(y, z, manifold.transport(x, y, w))
             direct = manifold.transport(x, z, w)
-            res = float(np.linalg.norm(via.coords - direct.coords))
+            res = _norm(via.coords - direct.coords)
             bound = manifold.dist(x, y) * manifold.dist(y, z) * w.norm()
             worst = max(worst, res)
             max_ratio = max(max_ratio, _ratio(res, bound))
@@ -207,12 +208,12 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
             duw = manifold.dist(u, w)
             if duw < 1e-12:
                 continue
-            up = manifold.exp(u, Tangent(u, -eta * obj.rgrad(u).coords))
-            wp = manifold.exp(w, Tangent(w, -eta * obj.rgrad(w).coords))
-            lv = Tangent(saddle_x, manifold.log(saddle_x, w).coords - manifold.log(saddle_x, u).coords)
+            up = manifold.exp(u, Tangent(u, readonly(-eta * obj.rgrad(u).coords)))
+            wp = manifold.exp(w, Tangent(w, readonly(-eta * obj.rgrad(w).coords)))
+            lv = Tangent(saddle_x, readonly(manifold.log(saddle_x, w).coords
+                                            - manifold.log(saddle_x, u).coords))
             pred = lv.coords - eta * obj.exact_hess(saddle_x, lv).coords
-            res = float(np.linalg.norm(
-                manifold.log(saddle_x, wp).coords - manifold.log(saddle_x, up).coords - pred))
+            res = _norm(manifold.log(saddle_x, wp).coords - manifold.log(saddle_x, up).coords - pred)
             theta = duw + manifold.dist(u, saddle_x) + manifold.dist(w, saddle_x)
             ratio = _ratio(res, duw * theta)
             worst = max(worst, ratio)
@@ -246,9 +247,8 @@ def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
                 continue
             lg = manifold.log(x, z)
             hterm = hess_operator(obj, x)(lg)
-            res = float(np.linalg.norm(
-                manifold.transport(z, x, obj.rgrad(z)).coords
-                - obj.rgrad(x).coords - hterm.coords))
+            res = _norm(manifold.transport(z, x, obj.rgrad(z)).coords
+                        - obj.rgrad(x).coords - hterm.coords)
             worst = max(worst, res)
             max_c = max(max_c, _ratio(res, 0.5 * d ** 2))
         max_res.append(worst)
@@ -340,9 +340,9 @@ def coupling_probe(obj: Objective, manifold: Manifold, saddle_x: Point,
         except GeometryError:
             stop_reason = "left-injectivity-ball"
             break
-        along = float(np.sum(v * e1.coords))
+        along = float(np.add.reduce(v * e1.coords, axis=None))
         psi.append(abs(along))
-        phi.append(float(np.linalg.norm(v - along * e1.coords)))
+        phi.append(_norm(v - along * e1.coords))
         if psi0 is None:
             psi0 = psi[0]
         if psi0 > 0 and psi[-1] >= 10.0 * psi0:

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import math
 import os
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from geodescent import (
+    KPCA,
+    DiagonalQuadratic,
     Euclidean,
     GeometryError,
     Grassmann,
@@ -17,7 +20,9 @@ from geodescent import (
     Sphere,
     Tangent,
     manifolds,
+    objectives,
 )
+from geodescent import verify as geoverify
 
 S3 = Sphere(3)
 
@@ -225,8 +230,136 @@ def oblique_tangent(man, x, row_norms, rng):
     return Tangent(x, g / np.linalg.norm(g, axis=1, keepdims=True) * row_norms[:, None])
 
 
+def parent_sphere_exp(x, v):
+    """`Sphere.exp` as written before the lean kernels: the reference, like
+    the `parent_sphere_*` and `parent_grassmann_*` functions below."""
+    if not np.any(v):
+        return x
+    th = np.linalg.norm(v)
+    if th == 0.0:
+        return x
+    if th < 1e-9:
+        y = x + v
+    else:
+        y = math.cos(th) * x + (math.sin(th) / th) * v
+    return y / np.linalg.norm(y)
+
+
+def parent_sphere_log(x, y):
+    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
+    u = y - c * x
+    s = float(np.linalg.norm(u))
+    d = math.atan2(s, c)
+    if d >= math.pi - 1e-12:
+        raise GeometryError(
+            f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
+        )
+    if s < 1e-300:
+        return np.zeros_like(x)
+    return (d / s) * u
+
+
+def parent_sphere_dist(x, y):
+    c = float(np.clip(np.dot(x, y), -1.0, 1.0))
+    s = float(np.linalg.norm(y - c * x))
+    return math.atan2(s, c)
+
+
+def parent_sphere_transport(name, x, y, w):
+    d = parent_sphere_dist(x, y)
+    if d >= math.pi:
+        raise GeometryError(
+            f"transport undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of {name}"
+        )
+    c = float(np.dot(x, y))
+    if c <= -1.0 + 1e-12:
+        raise GeometryError(
+            f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
+        )
+    xy = x + y
+    out = w - (np.dot(xy, w) / (1.0 + c)) * xy
+    return out - np.dot(y, out) * y
+
+
+def parent_sphere_project(x, a):
+    return a - np.dot(x, a) * x
+
+
+def parent_sphere_random_point(n, rng):
+    g = rng.standard_normal(n)
+    return g / np.linalg.norm(g)
+
+
+def parent_qr_sign_fixed(y):
+    q, r = np.linalg.qr(y)
+    s = np.sign(np.diag(r))
+    s[s == 0] = 1.0
+    return q * s
+
+
+def parent_grassmann_exp(x, v):
+    if not np.any(v):
+        return x
+    u, s, vt = np.linalg.svd(v, full_matrices=False)
+    return parent_qr_sign_fixed(x @ (vt.T * np.cos(s)) @ vt + (u * np.sin(s)) @ vt)
+
+
+def parent_grassmann_dist(x, y):
+    s = np.linalg.svd(x.T @ y, compute_uv=False)
+    return float(np.linalg.norm(np.arccos(np.clip(s, 0.0, 1.0))))
+
+
+def parent_grassmann_log(name, x, y):
+    d = parent_grassmann_dist(x, y)
+    if d >= math.pi / 2:
+        raise GeometryError(
+            f"log undefined: distance {d:.6g} >= injectivity radius {math.pi / 2:.6g} of {name}"
+        )
+    m = x.T @ y
+    t = (y - x @ m) @ np.linalg.inv(m)
+    u, s, vt = np.linalg.svd(t, full_matrices=False)
+    out = (u * np.arctan(s)) @ vt
+    return out - x @ (x.T @ out)
+
+
+def parent_grassmann_transport(name, x, y, w):
+    u, s, vt = np.linalg.svd(parent_grassmann_log(name, x, y), full_matrices=False)
+    keep = s > 1e-14
+    if not np.any(keep):
+        return w
+    u, s, vt = u[:, keep], s[keep], vt[keep]
+    uw = u.T @ w
+    out = w + (u * (np.cos(s) - 1.0)) @ uw - (x @ (vt.T * np.sin(s))) @ uw
+    return out - y @ (y.T @ out)
+
+
+def parent_grassmann_project(x, a):
+    return a - x @ (x.T @ a)
+
+
+def outcome(call):
+    """What a map gives: its coordinates, or the type and message it raises."""
+    try:
+        out = call()
+    except GeometryError as err:
+        return type(err), str(err)
+    return getattr(out, "coords", out)
+
+
+def assert_same_bits(got, want):
+    if isinstance(want, tuple):  # a raised error
+        assert got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def scaled_tangent(man, x, norm, rng):
+    g = man.project_tangent(x, rng.standard_normal(man.shape)).coords
+    return Tangent(x, g * (norm / np.linalg.norm(g)))
+
+
 class TestLeanKernelsSameBits:
-    """The row kernels give the bits of the expressions they replaced."""
+    """The lean kernels give the bits of the expressions they replaced."""
 
     DRAWS = 200
 
@@ -276,9 +409,122 @@ class TestLeanKernelsSameBits:
         x = man.point(np.eye(2)[[0, 1, 0]])
         assert np.array_equal(man.log(x, x).coords, parent_oblique_log(x.coords, x.coords))
 
+    @staticmethod
+    def assert_sphere_maps(man, x, y, v, w, a):
+        """Every Sphere map at (x, y) against its parent expression."""
+        xc, yc = x.coords, y.coords
+        assert_same_bits(outcome(lambda: man.exp(x, v)), parent_sphere_exp(xc, v.coords))
+        assert_same_bits(outcome(lambda: man.log(x, y)), outcome(lambda: parent_sphere_log(xc, yc)))
+        assert_same_bits(outcome(lambda: man.dist(x, y)), parent_sphere_dist(xc, yc))
+        assert_same_bits(outcome(lambda: man.transport(x, y, w)),
+                         outcome(lambda: parent_sphere_transport(man.name, xc, yc, w.coords)))
+        assert_same_bits(outcome(lambda: man.project_tangent(x, a)), parent_sphere_project(xc, a))
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_sphere_maps_at_random_draws(self, n):
+        man = Sphere(n)
+        for k in range(self.DRAWS):
+            x = man.random_point(np.random.default_rng(k))
+            assert np.array_equal(x.coords, parent_sphere_random_point(n, np.random.default_rng(k)))
+            rng = np.random.default_rng([n, k])
+            v = scaled_tangent(man, x, rng.choice([1e-12, 5e-10, 0.3, 2.0, 3.1, 3.2]), rng)
+            w = scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng)
+            a = rng.standard_normal(n)
+            for y in (man.random_point(rng), man.exp(x, v), x):
+                self.assert_sphere_maps(man, x, y, v, w, a)
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_sphere_maps_at_edge_inputs(self, n):
+        man = Sphere(n)
+        e1, e2 = np.eye(n)[0], np.eye(n)[1]
+        x = Point(man, e1)
+        for scale in (0.0, 1e-200, 1e-10):  # zero, norm underflowing to 0.0, th < 1e-9
+            v = Tangent(x, scale * e2)
+            assert_same_bits(man.exp(x, v).coords, parent_sphere_exp(e1, v.coords))
+            if scale < 1e-100:
+                assert man.exp(x, v) is x
+        past_one = e1 * (1.0 + 2.0 ** -52)  # x.x just above 1
+        near_antipode = -e1 + 1e-13 * e2
+        nan_entry = np.where(np.arange(n) == 1, np.nan, 0.0) + e1
+        inf_times_zero = np.where(np.arange(n) == 1, np.inf, 0.0)  # x.y = 0 * inf = NaN
+        with np.errstate(invalid="ignore"):
+            for xc, yc in [(e1, e1), (e1, -e1), (past_one, past_one), (past_one, -past_one),
+                           (e1, near_antipode / np.linalg.norm(near_antipode)),
+                           (e1, nan_entry), (nan_entry, e1), (e1, inf_times_zero)]:
+                x = Point(man, xc)
+                self.assert_sphere_maps(man, x, Point(man, yc), Tangent(x, 1e-10 * e2),
+                                        Tangent(x, 0.5 * e2), e2)
+            assert np.isnan(man.log(Point(man, e1), Point(man, inf_times_zero)).coords).all()
+            assert math.isnan(man.dist(Point(man, e1), Point(man, inf_times_zero)))
+
+    def test_sphere_antipodal_messages(self):
+        x, y = sphere_point(1, 0, 0), sphere_point(-1, 0, 0)
+        z = sphere_point(-1, 1e-13, 0)
+        w = S3.tangent(x, [0, 1.0, 0])
+        with pytest.raises(GeometryError, match=r"^log undefined: points at distance 3\.14159 >= "
+                                                r"injectivity radius 3\.14159 of the sphere$"):
+            S3.log(x, y)
+        with pytest.raises(GeometryError, match=r"^transport undefined: distance 3\.14159 >= "
+                                                r"injectivity radius 3\.14159 of sphere\(3\)$"):
+            S3.transport(x, y, w)
+        with pytest.raises(GeometryError, match=r"^transport undefined: points at distance 3\.14159 "
+                                                r">= injectivity radius of the sphere$"):
+            S3.transport(x, z, w)
+
+    @staticmethod
+    def assert_grassmann_maps(man, x, y, v, w, a):
+        xc, yc = x.coords, y.coords
+        assert_same_bits(man.exp(x, v).coords, parent_grassmann_exp(xc, v.coords))
+        assert_same_bits(outcome(lambda: man.log(x, y)),
+                         outcome(lambda: parent_grassmann_log(man.name, xc, yc)))
+        assert man.dist(x, y) == parent_grassmann_dist(xc, yc)
+        assert_same_bits(outcome(lambda: man.transport(x, y, w)),
+                         outcome(lambda: parent_grassmann_transport(man.name, xc, yc, w.coords)))
+        assert_same_bits(man.project_tangent(x, a).coords, parent_grassmann_project(xc, a))
+
+    def test_grassmann_maps_at_random_draws(self):
+        man = Grassmann(5, 3)
+        for k in range(self.DRAWS):
+            x = man.random_point(np.random.default_rng(k))
+            assert np.array_equal(x.coords, parent_qr_sign_fixed(
+                np.random.default_rng(k).standard_normal(man.shape)))
+            rng = np.random.default_rng([5, k])
+            v = scaled_tangent(man, x, rng.choice([1e-12, 0.3, 1.0, 1.5]), rng)
+            w = scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng)
+            a = rng.standard_normal(man.shape)
+            for y in (man.random_point(rng), man.exp(x, v), x):
+                self.assert_grassmann_maps(man, x, y, v, w, a)
+
+    def test_grassmann_maps_at_edge_inputs(self):
+        man = Grassmann(5, 3)
+        eye = np.eye(5)
+        x = Point(man, eye[:, :3])
+        w = Tangent(x, 0.5 * eye[:, [3, 4, 3]])
+        zero = Tangent(x, np.zeros(man.shape))
+        assert man.exp(x, zero) is x
+        for yc in (eye[:, :3], eye[:, [2, 3, 4]], eye[:, [0, 1, 3]], eye[:, [1, 0, 2]]):
+            self.assert_grassmann_maps(man, x, Point(man, yc), zero, w, eye[:, 2:])
+
 
 def tangent_at_random_point(man, coords):
     return Tangent(man.random_point(np.random.default_rng(0)), coords)
+
+
+def test_maps_call_no_numpy_wrapper():
+    """exp, log, dist, transport and project_tangent avoid the numpy calls
+    whose Python wrappers cost more than the arithmetic on small arrays."""
+    banned = {"np.linalg.norm", "np.clip", "np.any", "np.dot"}
+    maps = {"exp", "log", "dist", "transport", "project_tangent"}
+    found = []
+    for cls in ast.parse(inspect.getsource(manifolds)).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in maps:
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) in banned:
+                        found.append(f"{cls.name}.{fn.name}: {ast.unparse(node.func)}")
+    assert found == []
 
 
 class TestCoordsOwnership:
@@ -303,16 +549,23 @@ class TestCoordsOwnership:
         src.flags.writeable = False
         assert Point(man, src).coords is src
 
-    @pytest.mark.parametrize("man", [Sphere(3), Grassmann(5, 3), Oblique(3, 4)], ids=lambda m: m.name)
-    def test_map_results_are_kept_without_a_second_copy(self, man, monkeypatch):
-        """Each map marks the array it allocates read-only, so `Point`/`Tangent`
-        keep it instead of copying it again."""
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """Per `_freeze` call, whether it kept the array it was given."""
         freeze, kept = manifolds._freeze, []
 
         def spy(a):
             out = freeze(a)
             kept.append(out is a)
             return out
+
+        monkeypatch.setattr(manifolds, "_freeze", spy)
+        return kept
+
+    @pytest.mark.parametrize("man", [Sphere(3), Grassmann(5, 3), Oblique(3, 4)], ids=lambda m: m.name)
+    def test_map_results_are_kept_without_a_second_copy(self, man, kept):
+        """Each map marks the array it allocates read-only, so `Point`/`Tangent`
+        keep it instead of copying it again."""
 
         def check(call):
             kept.clear()
@@ -321,7 +574,6 @@ class TestCoordsOwnership:
             assert not out.coords.flags.writeable and out.coords.base is None
             return out
 
-        monkeypatch.setattr(manifolds, "_freeze", spy)
         rng = np.random.default_rng(8)
         x = check(lambda: man.random_point(rng))
         v = check(lambda: man.sample_tangent_ball(x, 0.5, rng))
@@ -330,6 +582,17 @@ class TestCoordsOwnership:
         check(lambda: man.log(x, x))
         check(lambda: man.transport(x, y, v))
         check(lambda: man.project_tangent(x, rng.standard_normal(man.shape)))
+        check(lambda: objectives.unit_tangent(man, x, rng))
+        check(lambda: geoverify._tangent_of_norm(man, x, 0.3, rng))
+
+    @pytest.mark.parametrize("obj", [DiagonalQuadratic([1.0, -1.0, 4.0]),
+                                     KPCA(np.diag([5.0, 4.0, 3.0, 2.0, 1.0]), 3)],
+                             ids=lambda o: o.manifold.name)
+    def test_min_hess_eig_makes_no_second_copy(self, obj, kept):
+        x = obj.manifold.random_point(np.random.default_rng(3))
+        kept.clear()
+        objectives.min_hess_eig(obj, x, 1e-6, np.random.default_rng(4))
+        assert kept and all(kept)
 
     def test_project_tangent_never_marks_the_callers_array(self):
         rng = np.random.default_rng(10)
