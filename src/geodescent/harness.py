@@ -73,9 +73,7 @@ class ExperimentConfig:
     g_thres: float | None = None
     f_thres: float | None = None
     t_thres: int | None = None
-    c_hat: float = 4.0
     f_gap: float | None = None
-    injectivity: float | None = None
     diag: list[float] | None = None
     x0: str | None = None
     k: int | None = None
@@ -158,9 +156,14 @@ def parse_config(text: str) -> ExperimentConfig:
     require(cfg.seed is None or cfg.seed >= 0,
             f"line {seen.get('seed')}: seed must be >= 0, got {cfg.seed}")
     require(cfg.mode in ("theory", "practical"), f"invalid mode {cfg.mode!r}")
-    for key in ("epsilon", "mu") if cfg.experiment == "verify" else ("epsilon",):
-        require(0 < getattr(cfg, key) < math.inf, f"line {seen.get(key)}: {key} must be "
-                f"finite and positive, got {getattr(cfg, key)}")
+    for key in ("epsilon", "mu", "beta", "rho", "rho_hat", "eta", "r", "g_thres", "f_thres", "f_gap"):
+        val = getattr(cfg, key)
+        require(val is None or 0 < val < math.inf,
+                f"line {seen.get(key)}: {key} must be finite and positive, got {val}")
+    require(0 < cfg.delta < 1, f"line {seen.get('delta')}: delta must lie in (0, 1), got {cfg.delta}")
+    for key in ("max_iters", "t_thres"):
+        val = getattr(cfg, key)
+        require(val is None or val >= 1, f"line {seen.get(key)}: {key} must be >= 1, got {val}")
     if cfg.experiment == "sphere-quadratic":
         require(cfg.diag is not None and len(cfg.diag) >= 2,
                 "sphere-quadratic requires 'diag' with at least 2 entries")
@@ -233,6 +236,8 @@ def burer_monteiro_instance(dim_d: int, p: int, block: int,
 
 def burer_monteiro_start(dim_d: int, p: int) -> np.ndarray:
     """Feasible block start: rows 5j-4..5j of column j are 1 (1-indexed)."""
+    if p > dim_d:
+        raise ValueError(f"burer-monteiro needs p <= dim_d, got p = {p} > dim_d = {dim_d}")
     y0 = np.zeros((dim_d, p))
     rows_per_col = dim_d // p
     for i in range(dim_d):
@@ -258,8 +263,7 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
     elif cfg.experiment == "kpca":
         h = np.diag(cfg.h_diag) if cfg.h_diag is not None else read_matrix(cfg.h_file)
         n = h.shape[0]
-        man = Grassmann(n, cfg.k) if cfg.injectivity is None else \
-            Grassmann(n, cfg.k, injectivity_radius=cfg.injectivity)
+        man = Grassmann(n, cfg.k)
         obj = KPCA(h, cfg.k, man)
         cols = cfg.x0_cols if cfg.x0_cols is not None else list(range(1, cfg.k + 1))
         if len(cols) != cfg.k or any(not 0 <= c < n for c in cols):
@@ -283,7 +287,7 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
 def _thresholds_for(cfg: ExperimentConfig, obj, x0,
                     rng_smooth: np.random.Generator) -> tuple[ThresholdSet, dict]:
     geom = obj.manifold.geometry()
-    inj = cfg.injectivity if cfg.injectivity is not None else geom.injectivity_radius
+    inj = geom.injectivity_radius
     info: dict = {}
     beta_hat, rho_hat = cfg.beta, cfg.rho_hat
     if beta_hat is None or rho_hat is None:
@@ -302,7 +306,7 @@ def _thresholds_for(cfg: ExperimentConfig, obj, x0,
             beta=beta_hat, rho=cfg.rho if cfg.rho is not None else rho_hat,
             epsilon=cfg.epsilon, delta=cfg.delta, f_gap=cfg.f_gap,
             dim_d=geom.dimension, injectivity=inj, rho_hat=rho_hat)
-        thr = derive_thresholds(params, cfg.c_hat)
+        thr = derive_thresholds(params)
     else:
         thr = practical_thresholds(
             beta_hat, rho_hat, cfg.epsilon, dim_d=geom.dimension, delta=cfg.delta,
@@ -399,7 +403,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
     result = run(obj, x0, thr, cfg.max_iters, rng_run)
     lam, _ = min_hess_eig(obj, result.final_point, 1e-3, rng_eig)
-    result.final_lambda_min = lam
     label = classify_stationarity(result.final_gradnorm, lam, cfg.epsilon,
                                   thr_info["rho_hat"])
 
@@ -466,7 +469,7 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
 
     diag = np.asarray(cfg.diag if cfg.diag is not None else [1.0, -1.0, 4.0])
     obj = None
-    if man.name.startswith(("sphere", "euclidean")) and diag.size == man.shape[0]:
+    if isinstance(man, (Sphere, Euclidean)) and diag.size == man.shape[0]:
         obj = DiagonalQuadratic(diag, man)
 
     n = cfg.n_samples
@@ -531,14 +534,15 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
 
 
 def _first_saddle(obj, man):
-    """Standard basis vector that is a strict-saddle stationary point, if any."""
+    """Standard basis vector that is a strict saddle on the sphere, if any."""
+    if not isinstance(man, Sphere):
+        return None
     diag = obj.diag
     for i in range(diag.size):
         if np.any(diag < diag[i]) and np.any(diag > diag[i]):
             coords = np.zeros(diag.size)
             coords[i] = 1.0
-            if man.name.startswith("sphere"):
-                return Point(man, coords)
+            return Point(man, coords)
     return None
 
 

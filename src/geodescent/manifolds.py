@@ -445,22 +445,19 @@ class Grassmann(Manifold):
     Exp and log are closed forms through the thin SVD of the tangent, and
     parallel transport along geodesics is exact (and therefore isometric).
 
-    The curvature bound is 2.  The injectivity radius defaults to pi/2 and can
-    be overridden at construction, since downstream thresholds treat it as
-    configuration, not derived data.
+    The curvature bound is 2 and the injectivity radius pi/2.
     """
 
-    def __init__(self, n: int, k: int, injectivity_radius: float = math.pi / 2):
+    def __init__(self, n: int, k: int):
         if not 1 <= k < n:
             raise ValueError("need 1 <= k < n")
         self.n = n
         self.k = k
-        self._inj = injectivity_radius
         self.name = f"grassmann({n},{k})"
         self.shape = (n, k)
 
     def geometry(self) -> GeometryInfo:
-        return GeometryInfo(2.0, self._inj, self.k * (self.n - self.k))
+        return GeometryInfo(2.0, math.pi / 2, self.k * (self.n - self.k))
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords

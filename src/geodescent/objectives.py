@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .manifolds import (
+    Euclidean,
     GeometryError,
     Grassmann,
     Manifold,
@@ -27,12 +29,13 @@ class Objective:
     """A smooth cost on a manifold, evaluated through an ambient extension.
 
     Subclasses provide `value` and `ambient_grad`; the Riemannian gradient is
-    the tangent projection of the ambient gradient.  `exact_hess` returns the
-    exact Riemannian Hessian-vector product where a closed form exists and
-    None otherwise (callers fall back to finite differences).
+    the tangent projection of the ambient gradient.  A subclass with a closed
+    form for the Riemannian Hessian-vector product defines `exact_hess(x, v)`;
+    where it stays None, callers fall back to finite differences.
     """
 
     manifold: Manifold
+    exact_hess = None
 
     def value(self, x: Point) -> float:
         raise NotImplementedError
@@ -42,12 +45,6 @@ class Objective:
 
     def rgrad(self, x: Point) -> Tangent:
         return self.manifold.project_tangent(x, self.ambient_grad(x))
-
-    def exact_hess(self, x: Point, v: Tangent) -> Tangent | None:
-        return None
-
-    def has_exact_hess(self) -> bool:
-        return False
 
 
 class DiagonalQuadratic(Objective):
@@ -62,10 +59,11 @@ class DiagonalQuadratic(Objective):
         if self.diag.ndim != 1:
             raise ValueError("diag must be a vector")
         self.manifold = manifold if manifold is not None else Sphere(self.diag.size)
+        if not isinstance(self.manifold, (Sphere, Euclidean)):
+            raise ValueError(f"DiagonalQuadratic needs a sphere or Euclidean space, "
+                             f"got {self.manifold.name}")
         if self.manifold.shape != self.diag.shape:
-            raise ValueError(
-                f"diagonal of size {self.diag.size} does not match {self.manifold.name}"
-            )
+            raise ValueError(f"diagonal of size {self.diag.size} does not match {self.manifold.name}")
 
     def value(self, x):
         return float(x.coords @ (self.diag * x.coords))
@@ -79,12 +77,7 @@ class DiagonalQuadratic(Objective):
             fx = float(x.coords @ (self.diag * x.coords))
             w = 2.0 * (self.diag * pv - fx * pv)
             return self.manifold.project_tangent(x, w)
-        if self.manifold.name.startswith("euclidean"):
-            return Tangent(x, 2.0 * self.diag * v.coords)
-        return None
-
-    def has_exact_hess(self):
-        return isinstance(self.manifold, Sphere) or self.manifold.name.startswith("euclidean")
+        return Tangent(x, readonly(2.0 * self.diag * v.coords))
 
 
 class _QuadraticForm(Objective):
@@ -183,13 +176,9 @@ def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
 def hess_operator(obj: Objective, x: Point):
     """v -> H(x)[v]: the closed form where the objective has one, else
     central differences (`hess_vec`)."""
-    if obj.has_exact_hess():
-        def op(v: Tangent) -> Tangent:
-            return obj.exact_hess(x, v)
-    else:
-        def op(v: Tangent) -> Tangent:
-            return hess_vec(obj, x, v)
-    return op
+    if obj.exact_hess is None:
+        return partial(hess_vec, obj, x)
+    return partial(obj.exact_hess, x)
 
 
 def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,

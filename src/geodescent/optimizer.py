@@ -196,7 +196,6 @@ class RunResult:
     final_gradnorm: float
     iterations: int
     trace: Trace
-    final_lambda_min: float | None = None
 
 
 @dataclass

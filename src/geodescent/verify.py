@@ -196,7 +196,7 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
     The per-scale worst normalized residual (residual over that bound
     expression) decays linearly in s.
     """
-    if not obj.has_exact_hess():
+    if obj.exact_hess is None:
         raise CapabilityError("check_linearization needs an objective with an exact Hessian")
     scales = sorted(scales, reverse=True)
     max_norm_res, max_raw, max_ratio = [], [], 0.0

@@ -29,6 +29,7 @@ epsilon = 1e-4
 
 VERIFY_TWO_STEP = "experiment = verify\nseed = 7\nchecks = two-step\n"
 VERIFY_COUPLING = "experiment = verify\nseed = 7\nchecks = coupling\nprobe_steps = 50\n"
+BM_P_ABOVE_DIM_D = "experiment = burer-monteiro\nseed = 7\ndim_d = 3\np = 5\nblock = 2\n"
 
 
 class TestParseConfig:
@@ -96,9 +97,7 @@ SCHEMA_SAMPLES = {
     "g_thres": ("1e-4", 0.0001, "1e-4e"),
     "f_thres": ("1e-8", 1e-08, "x"),
     "t_thres": ("200", 200, "200.5"),
-    "c_hat": ("4", 4.0, "four"),
     "f_gap": ("2", 2.0, "2 3"),
-    "injectivity": ("3.14", 3.14, "pi"),
     "diag": ("1, -1, 4", [1.0, -1.0, 4.0], "1, -1, x"),
     "x0": ("1, 0, 0", "1, 0, 0", None),
     "k": ("2", 2, "2.5"),
@@ -136,6 +135,14 @@ class TestConfigSchema:
             parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
         lineno = list(lines).index(name) + 1
         assert f"line {lineno}: cannot parse value {malformed!r} for key {name!r}" in exc.value.errors
+
+
+def test_every_config_key_is_documented():
+    """Each config key is named in backticks in README's "Config format"."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Config format", 1)[1].split("\n### ", 1)[0]
+    assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in section] == []
 
 
 class TestMatrixIO:
@@ -326,9 +333,33 @@ class TestCli:
          "line 5: epsilon must be finite and positive, got nan"),
         ("verify", VERIFY_COUPLING + "mu = nan\n", [],
          "line 5: mu must be finite and positive, got nan"),
+        ("run", MINIMAL_SPHERE + "beta = -8\n", [], "line 6: beta must be finite and positive, got -8.0"),
+        ("thresholds", MINIMAL_SPHERE + "rho = nan\n", [],
+         "line 6: rho must be finite and positive, got nan"),
+        ("run", MINIMAL_SPHERE + "rho_hat = 0\n", [],
+         "line 6: rho_hat must be finite and positive, got 0.0"),
+        ("thresholds", MINIMAL_SPHERE + "eta = inf\n", [],
+         "line 6: eta must be finite and positive, got inf"),
+        ("run", MINIMAL_SPHERE + "r = nan\n", [], "line 6: r must be finite and positive, got nan"),
+        ("thresholds", MINIMAL_SPHERE + "g_thres = nan\n", [],
+         "line 6: g_thres must be finite and positive, got nan"),
+        ("run", MINIMAL_SPHERE + "f_thres = inf\n", [],
+         "line 6: f_thres must be finite and positive, got inf"),
+        ("thresholds", MINIMAL_SPHERE + "f_gap = -2\n", [],
+         "line 6: f_gap must be finite and positive, got -2.0"),
+        ("run", MINIMAL_SPHERE + "delta = 0\n", [], "line 6: delta must lie in (0, 1), got 0.0"),
+        ("run", MINIMAL_SPHERE + "max_iters = -3\n", [], "line 6: max_iters must be >= 1, got -3"),
+        ("thresholds", MINIMAL_SPHERE + "t_thres = 0\n", [], "line 6: t_thres must be >= 1, got 0"),
+        ("run", BM_P_ABOVE_DIM_D, [],
+         "problem setup failed: burer-monteiro needs p <= dim_d, got p = 5 > dim_d = 3"),
+        ("thresholds", BM_P_ABOVE_DIM_D, [],
+         "error: burer-monteiro needs p <= dim_d, got p = 5 > dim_d = 3"),
     ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
             "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps",
-            "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan"])
+            "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan", "beta-negative", "rho-nan",
+            "rho_hat-0", "eta-inf", "r-nan", "g_thres-nan", "f_thres-inf", "f_gap-negative",
+            "delta-0", "max_iters-negative", "t_thres-0",
+            "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

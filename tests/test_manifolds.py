@@ -594,6 +594,17 @@ class TestCoordsOwnership:
         objectives.min_hess_eig(obj, x, 1e-6, np.random.default_rng(4))
         assert kept and all(kept)
 
+    @pytest.mark.parametrize("man", [Sphere(3), Euclidean(3)], ids=lambda m: m.name)
+    def test_exact_hess_result_is_kept(self, man, kept):
+        obj = DiagonalQuadratic([1.0, -1.0, 4.0], man)
+        rng = np.random.default_rng(5)
+        x = man.random_point(rng)
+        v = man.sample_tangent_ball(x, 0.5, rng)
+        kept.clear()
+        out = obj.exact_hess(x, v)
+        assert kept and all(kept)
+        assert not out.coords.flags.writeable and out.coords.base is None
+
     def test_project_tangent_never_marks_the_callers_array(self):
         rng = np.random.default_rng(10)
         for man in (Euclidean(3), Sphere(3), Grassmann(5, 3), Oblique(3, 4)):

@@ -10,6 +10,7 @@ from geodescent import (
     GeometryError,
     Grassmann,
     KPCA,
+    Manifold,
     Objective,
     Oblique,
     Sphere,
@@ -17,6 +18,7 @@ from geodescent import (
     estimate_smoothness,
     hess_vec,
     min_hess_eig,
+    objectives,
 )
 from oracles import central_diff_along_geodesic, dense_hessian_matrix
 
@@ -215,6 +217,50 @@ class TestHessVec:
             m_exact = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
             rel = np.linalg.norm(m_fd - m_exact, 2) / max(np.linalg.norm(m_exact, 2), 1.0)
             assert rel <= 1e-4
+
+
+class TestHessOperator:
+    """`hess_operator` takes the closed form exactly when `exact_hess` is
+    defined, and central differences (`hess_vec`) otherwise."""
+
+    @pytest.fixture
+    def fd_calls(self, monkeypatch):
+        calls, real = [], objectives.hess_vec
+
+        def spy(obj, x, v, step=None):
+            calls.append(obj)
+            return real(obj, x, v, step)
+
+        monkeypatch.setattr(objectives, "hess_vec", spy)
+        return calls
+
+    @pytest.mark.parametrize("man", [Sphere(3), Euclidean(3)], ids=lambda m: m.name)
+    def test_closed_form_when_defined(self, man, fd_calls):
+        obj = DiagonalQuadratic(D_FIG, man)
+        rng = np.random.default_rng(6)
+        x = man.random_point(rng)
+        v = man.sample_tangent_ball(x, 1.0, rng)
+        out = objectives.hess_operator(obj, x)(v)
+        assert fd_calls == []
+        assert np.array_equal(out.coords, obj.exact_hess(x, v).coords)
+
+    @pytest.mark.parametrize("make", [lambda: KPCA(H5, 3), lambda: BurerMonteiro(np.eye(4), 2),
+                                      lambda: Constant(Sphere(3), 2.5)],
+                             ids=["kpca", "bm", "test-local"])
+    def test_finite_differences_otherwise(self, make, fd_calls):
+        obj = make()
+        assert obj.exact_hess is None
+        rng = np.random.default_rng(7)
+        x = obj.manifold.random_point(rng)
+        objectives.hess_operator(obj, x)(obj.manifold.sample_tangent_ball(x, 1.0, rng))
+        assert fd_calls == [obj]
+
+    def test_diagonal_quadratic_rejects_other_manifolds(self):
+        class Line(Manifold):  # local, so it stays out of Manifold.__subclasses__() at collection
+            name, shape = "line(3)", (3,)
+
+        with pytest.raises(ValueError, match=r"sphere or Euclidean space, got line\(3\)"):
+            DiagonalQuadratic(D_FIG, Line())
 
 
 class TestMinHessEig:
