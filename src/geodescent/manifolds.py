@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 FEAS_TOL = 1e-10      # feasibility residual allowed on points
 TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
@@ -54,10 +55,33 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(c.dot(c))
 
 
+# numpy.linalg's LAPACK gufuncs minus its wrappers, which cost more than small factorizations
+def _linalg_errstate(raiser):
+    """The error state numpy.linalg sets, so a LAPACK failure raises its `LinAlgError`."""
+    return np.errstate(call=raiser, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_linalg_errstate(_linalg._raise_linalgerror_svd_nonconvergence)
+def _svd(a: np.ndarray):
+    """`numpy.linalg.svd(a, full_matrices=False)`, same bits."""
+    return _umath_linalg.svd_s(a, signature="d->ddd")
+
+
+@_linalg_errstate(_linalg._raise_linalgerror_svd_nonconvergence)
+def _svdvals(a: np.ndarray) -> np.ndarray:
+    """`numpy.linalg.svd(a, compute_uv=False)`, same bits."""
+    return _umath_linalg.svd(a, signature="d->d")
+
+
+@_linalg_errstate(_linalg._raise_linalgerror_singular)
+def _inv(m: np.ndarray) -> np.ndarray:
+    """`numpy.linalg.inv(m)`, same bits."""
+    return _umath_linalg.inv(m, signature="d->d")
+
+
 def principal_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Angles between the column spans of two orthonormal matrices."""
-    s = np.linalg.svd(x.T @ y, compute_uv=False)
-    return np.arccos(np.minimum(np.maximum(s, 0.0), 1.0))
+    return np.arccos(np.minimum(np.maximum(_svdvals(x.T @ y), 0.0), 1.0))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -218,10 +242,15 @@ class Manifold:
         return self.name
 
 
+@_linalg_errstate(_linalg._raise_linalgerror_qr)
 def _qr_sign_fixed(y: np.ndarray) -> np.ndarray:
-    """Thin QR with positive diagonal of R, read-only; absorbs rounding drift only."""
-    q, r = np.linalg.qr(y)
-    s = np.sign(r.diagonal())
+    """Thin QR with positive diagonal of R, read-only; absorbs rounding drift only.
+
+    numpy.linalg.qr's two LAPACK calls, same bits: they factor a float copy of
+    `y` in place, leaving R in its upper triangle."""
+    a = y.astype(_F8)
+    q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="d->d"), signature="dd->d")
+    s = np.sign(a.diagonal())
     s[s == 0] = 1.0
     return readonly(q * s)
 
@@ -261,7 +290,7 @@ class Euclidean(Manifold):
 
     def transport(self, x, y, w):
         self._check_base(x, w)
-        self._check_point(y)
+        self._check_pair(x, y)
         return Tangent(y, w.coords)
 
     def project_tangent(self, x, a):
@@ -418,13 +447,13 @@ class Oblique(Manifold):
 
     def transport(self, x, y, w):
         self._check_base(x, w)
-        self._check_point(y)
+        self._check_pair(x, y)
         d_rows, c, _, _ = self._row_angles(x.coords, y.coords)
         self._guard_rows(d_rows, "transport")
         xy = x.coords + y.coords
-        coef = np.sum(xy * w.coords, axis=1) / (1.0 + c)
+        coef = np.add.reduce(xy * w.coords, axis=1) / (1.0 + c)
         out = w.coords - coef[:, None] * xy
-        out -= np.sum(y.coords * out, axis=1)[:, None] * y.coords
+        out -= np.add.reduce(y.coords * out, axis=1)[:, None] * y.coords
         return Tangent(y, readonly(out))
 
     def project_tangent(self, x, a):
@@ -470,7 +499,7 @@ class Grassmann(Manifold):
         self._check_base(x, v)
         if not v.coords.any():
             return x
-        u, s, vt = np.linalg.svd(v.coords, full_matrices=False)
+        u, s, vt = _svd(v.coords)
         y = x.coords @ (vt.T * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
         return Point(self, _qr_sign_fixed(y))
 
@@ -478,8 +507,8 @@ class Grassmann(Manifold):
         self._check_pair(x, y)
         self._check_injectivity(self.dist(x, y), "log")
         m = x.coords.T @ y.coords
-        t = (y.coords - x.coords @ m) @ np.linalg.inv(m)
-        u, s, vt = np.linalg.svd(t, full_matrices=False)
+        t = (y.coords - x.coords @ m) @ _inv(m)
+        u, s, vt = _svd(t)
         out = (u * np.arctan(s)) @ vt
         # clean rounding so tangency holds to working precision
         return Tangent(x, readonly(out - x.coords @ (x.coords.T @ out)))
@@ -492,7 +521,7 @@ class Grassmann(Manifold):
         self._check_base(x, w)
         self._check_point(y)
         xi = self.log(x, y)  # enforces the injectivity precondition
-        u, s, vt = np.linalg.svd(xi.coords, full_matrices=False)
+        u, s, vt = _svd(xi.coords)
         keep = s > 1e-14
         if not keep.any():
             return Tangent(y, w.coords)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -338,19 +339,26 @@ def parent_grassmann_project(x, a):
 
 
 def outcome(call):
-    """What a map gives: its coordinates, or the type and message it raises."""
-    try:
-        out = call()
-    except GeometryError as err:
-        return type(err), str(err)
-    return getattr(out, "coords", out)
+    """What a map gives: its coordinates, or the type and message it raises,
+    with the category and message of each warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+            out = getattr(out, "coords", out)
+        except (GeometryError, np.linalg.LinAlgError) as err:
+            out = type(err), str(err)
+    return out, [(w.category, str(w.message)) for w in caught]
 
 
 def assert_same_bits(got, want):
-    if isinstance(want, tuple):  # a raised error
-        assert got == want
+    """Two `outcome`s agree: the same warnings, and the same error or bits."""
+    (out, warned), (want_out, want_warned) = got, want
+    assert warned == want_warned
+    if isinstance(want_out, tuple):  # a raised error
+        assert isinstance(out, tuple) and out == want_out
     else:
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(out, want_out, equal_nan=True)
 
 
 def scaled_tangent(man, x, norm, rng):
@@ -413,12 +421,13 @@ class TestLeanKernelsSameBits:
     def assert_sphere_maps(man, x, y, v, w, a):
         """Every Sphere map at (x, y) against its parent expression."""
         xc, yc = x.coords, y.coords
-        assert_same_bits(outcome(lambda: man.exp(x, v)), parent_sphere_exp(xc, v.coords))
+        assert_same_bits(outcome(lambda: man.exp(x, v)), outcome(lambda: parent_sphere_exp(xc, v.coords)))
         assert_same_bits(outcome(lambda: man.log(x, y)), outcome(lambda: parent_sphere_log(xc, yc)))
-        assert_same_bits(outcome(lambda: man.dist(x, y)), parent_sphere_dist(xc, yc))
+        assert_same_bits(outcome(lambda: man.dist(x, y)), outcome(lambda: parent_sphere_dist(xc, yc)))
         assert_same_bits(outcome(lambda: man.transport(x, y, w)),
                          outcome(lambda: parent_sphere_transport(man.name, xc, yc, w.coords)))
-        assert_same_bits(outcome(lambda: man.project_tangent(x, a)), parent_sphere_project(xc, a))
+        assert_same_bits(outcome(lambda: man.project_tangent(x, a)),
+                         outcome(lambda: parent_sphere_project(xc, a)))
 
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_sphere_maps_at_random_draws(self, n):
@@ -440,7 +449,7 @@ class TestLeanKernelsSameBits:
         x = Point(man, e1)
         for scale in (0.0, 1e-200, 1e-10):  # zero, norm underflowing to 0.0, th < 1e-9
             v = Tangent(x, scale * e2)
-            assert_same_bits(man.exp(x, v).coords, parent_sphere_exp(e1, v.coords))
+            assert_same_bits(outcome(lambda: man.exp(x, v)), outcome(lambda: parent_sphere_exp(e1, v.coords)))
             if scale < 1e-100:
                 assert man.exp(x, v) is x
         past_one = e1 * (1.0 + 2.0 ** -52)  # x.x just above 1
@@ -474,26 +483,32 @@ class TestLeanKernelsSameBits:
     @staticmethod
     def assert_grassmann_maps(man, x, y, v, w, a):
         xc, yc = x.coords, y.coords
-        assert_same_bits(man.exp(x, v).coords, parent_grassmann_exp(xc, v.coords))
+        assert_same_bits(outcome(lambda: man.exp(x, v)), outcome(lambda: parent_grassmann_exp(xc, v.coords)))
         assert_same_bits(outcome(lambda: man.log(x, y)),
                          outcome(lambda: parent_grassmann_log(man.name, xc, yc)))
-        assert man.dist(x, y) == parent_grassmann_dist(xc, yc)
+        assert_same_bits(outcome(lambda: man.dist(x, y)), outcome(lambda: parent_grassmann_dist(xc, yc)))
         assert_same_bits(outcome(lambda: man.transport(x, y, w)),
                          outcome(lambda: parent_grassmann_transport(man.name, xc, yc, w.coords)))
-        assert_same_bits(man.project_tangent(x, a).coords, parent_grassmann_project(xc, a))
+        assert_same_bits(outcome(lambda: man.project_tangent(x, a)),
+                         outcome(lambda: parent_grassmann_project(xc, a)))
 
     def test_grassmann_maps_at_random_draws(self):
-        man = Grassmann(5, 3)
-        for k in range(self.DRAWS):
-            x = man.random_point(np.random.default_rng(k))
-            assert np.array_equal(x.coords, parent_qr_sign_fixed(
-                np.random.default_rng(k).standard_normal(man.shape)))
-            rng = np.random.default_rng([5, k])
-            v = scaled_tangent(man, x, rng.choice([1e-12, 0.3, 1.0, 1.5]), rng)
-            w = scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng)
-            a = rng.standard_normal(man.shape)
-            for y in (man.random_point(rng), man.exp(x, v), x):
-                self.assert_grassmann_maps(man, x, y, v, w, a)
+        # LAPACK's SVD and QR take different paths by shape
+        for n, p in ((4, 1), (5, 3), (7, 2), (20, 5)):
+            man = Grassmann(n, p)
+            for k in range(self.DRAWS):
+                x = man.random_point(np.random.default_rng(k))
+                assert np.array_equal(x.coords, parent_qr_sign_fixed(
+                    np.random.default_rng(k).standard_normal(man.shape)))
+                rng = np.random.default_rng([n, k])
+                v = scaled_tangent(man, x, rng.choice([1e-12, 0.3, 1.0, 1.5]), rng)
+                w = scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng)
+                a = rng.standard_normal(man.shape)
+                for y in (man.random_point(rng), man.exp(x, v), x):
+                    self.assert_grassmann_maps(man, x, y, v, w, a)
+                    s = np.linalg.svd(x.coords.T @ y.coords, compute_uv=False)
+                    assert np.array_equal(manifolds.principal_angles(x.coords, y.coords),
+                                          np.arccos(np.clip(s, 0, 1)))
 
     def test_grassmann_maps_at_edge_inputs(self):
         man = Grassmann(5, 3)
@@ -505,26 +520,89 @@ class TestLeanKernelsSameBits:
         for yc in (eye[:, :3], eye[:, [2, 3, 4]], eye[:, [0, 1, 3]], eye[:, [1, 0, 2]]):
             self.assert_grassmann_maps(man, x, Point(man, yc), zero, w, eye[:, 2:])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_grassmann_maps_at_non_finite_inputs(self, bad):
+        """A NaN or inf entry raises, warns or returns what numpy.linalg gives."""
+        man = Grassmann(5, 3)
+        rng = np.random.default_rng(0)
+        x = man.random_point(rng)
+        v, w = scaled_tangent(man, x, 0.3, rng), scaled_tangent(man, x, 0.5, rng)
+        y, a = man.exp(x, v), rng.standard_normal(man.shape)
+
+        def spoil(c):
+            c = c.copy()
+            c[1, 2] = bad
+            return c
+
+        for xc, yc, vc, wc in [(spoil(x.coords), y.coords, v.coords, w.coords),
+                               (x.coords, spoil(y.coords), v.coords, w.coords),
+                               (x.coords, y.coords, spoil(v.coords), spoil(w.coords))]:
+            xp = Point(man, xc)
+            self.assert_grassmann_maps(man, xp, Point(man, yc), Tangent(xp, vc), Tangent(xp, wc), a)
+        # NaN stops dgesdd; an inf makes `dist` NaN, so `log` passes its guard and dgesdd stops
+        got = outcome(lambda: man.log(x, Point(man, spoil(y.coords))))
+        assert got[0] == (np.linalg.LinAlgError, "SVD did not converge")
+        assert bool(got[1]) == np.isinf(bad)  # inf also warns on the way
+
+    def test_linalg_kernels_match_numpy_linalg(self):
+        """The LAPACK kernels give numpy.linalg's bits, errors and warnings,
+        also on singular, rank-deficient and non-finite matrices."""
+        rng = np.random.default_rng(0)
+        full = rng.standard_normal((5, 3))
+        zero_col = full * [1.0, 0.0, 1.0]  # R has a zero on its diagonal: the sign-0 branch
+        assert (np.linalg.qr(zero_col)[1].diagonal() == 0).any()
+        nan, inf = full.copy(), full.copy()
+        nan[2, 1], inf[2, 1] = np.nan, np.inf
+        for a in (full, zero_col, nan, inf, full.T):
+            assert_same_bits(outcome(lambda: manifolds._qr_sign_fixed(a)),
+                             outcome(lambda: parent_qr_sign_fixed(a)))
+            assert_same_bits(outcome(lambda: manifolds._svdvals(a)),
+                             outcome(lambda: np.linalg.svd(a, compute_uv=False)))
+            for i in range(3):
+                assert_same_bits(outcome(lambda: manifolds._svd(a)[i]),
+                                 outcome(lambda: np.linalg.svd(a, full_matrices=False)[i]))
+        for m in (full.T @ full, np.zeros((3, 3)), zero_col.T @ zero_col, nan.T @ full, inf.T @ full):
+            assert_same_bits(outcome(lambda: manifolds._inv(m)), outcome(lambda: np.linalg.inv(m)))
+        assert outcome(lambda: manifolds._inv(np.zeros((3, 3))))[0] == (np.linalg.LinAlgError, "Singular matrix")
+
 
 def tangent_at_random_point(man, coords):
     return Tangent(man.random_point(np.random.default_rng(0)), coords)
 
 
 def test_maps_call_no_numpy_wrapper():
-    """exp, log, dist, transport and project_tangent avoid the numpy calls
-    whose Python wrappers cost more than the arithmetic on small arrays."""
-    banned = {"np.linalg.norm", "np.clip", "np.any", "np.dot"}
+    """exp, log, dist, transport and project_tangent, and the Grassmann kernels
+    `principal_angles` and `_qr_sign_fixed`, avoid the numpy calls whose Python
+    wrappers cost more than the arithmetic on small arrays."""
+    banned = {"np.linalg.norm", "np.linalg.svd", "np.linalg.qr", "np.linalg.inv",
+              "np.clip", "np.any", "np.dot", "np.sum"}
     maps = {"exp", "log", "dist", "transport", "project_tangent"}
-    found = []
-    for cls in ast.parse(inspect.getsource(manifolds)).body:
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for fn in cls.body:
-            if isinstance(fn, ast.FunctionDef) and fn.name in maps:
-                for node in ast.walk(fn):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) in banned:
-                        found.append(f"{cls.name}.{fn.name}: {ast.unparse(node.func)}")
+    kernels = {"principal_angles", "_qr_sign_fixed"}
+    module = ast.parse(inspect.getsource(manifolds)).body
+    walked = [(fn.name, fn) for fn in module if isinstance(fn, ast.FunctionDef) and fn.name in kernels]
+    assert len(walked) == len(kernels)
+    for cls in module:
+        if isinstance(cls, ast.ClassDef):
+            walked += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name in maps]
+    found = [f"{name}: {ast.unparse(node.func)}" for name, fn in walked for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) in banned]
     assert found == []
+
+
+FOREIGN = {Euclidean: (Euclidean(3), Sphere(3)), Sphere: (Sphere(3), Euclidean(3)),
+           Oblique: (Oblique(3, 2), Grassmann(3, 2)), Grassmann: (Grassmann(3, 2), Oblique(3, 2))}
+
+
+@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
+def test_transport_rejects_a_base_point_from_another_manifold(cls):
+    man, other = FOREIGN[cls]
+    rng = np.random.default_rng(0)
+    x, y = other.random_point(rng), man.random_point(rng)
+    w = other.project_tangent(x, rng.standard_normal(other.shape))  # anchored at x: only x is wrong
+    with pytest.raises(ValueError) as exc:
+        man.transport(x, y, w)
+    assert str(exc.value) == f"point on {other.name}, expected {man.name}"
 
 
 class TestCoordsOwnership:
