@@ -249,11 +249,10 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
     """Objective, start point and experiment-specific audit data."""
     extras: dict = {}
     if cfg.experiment == "sphere-quadratic":
-        diag = np.asarray(cfg.diag, dtype=float)
-        man = Sphere(diag.size)
-        obj = DiagonalQuadratic(diag, man)
+        obj = DiagonalQuadratic(cfg.diag)
+        man = obj.manifold
         if cfg.x0 is None:
-            coords = np.zeros(diag.size)
+            coords = np.zeros(man.n)
             coords[0] = 1.0
         elif cfg.x0 == "random":
             coords = man.random_point(rng_data).coords
@@ -262,9 +261,9 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
         x0 = Point(man, coords)
     elif cfg.experiment == "kpca":
         h = np.diag(cfg.h_diag) if cfg.h_diag is not None else read_matrix(cfg.h_file)
-        n = h.shape[0]
-        man = Grassmann(n, cfg.k)
-        obj = KPCA(h, cfg.k, man)
+        obj = KPCA(h, cfg.k)
+        man = obj.manifold
+        n = man.n
         cols = cfg.x0_cols if cfg.x0_cols is not None else list(range(1, cfg.k + 1))
         if len(cols) != cfg.k or any(not 0 <= c < n for c in cols):
             raise ValueError(f"x0_cols must be {cfg.k} column indices in [0, {n})")
@@ -274,9 +273,8 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
     elif cfg.experiment == "burer-monteiro":
         a = read_matrix(cfg.a_file) if cfg.a_file else \
             burer_monteiro_instance(cfg.dim_d, cfg.p, cfg.block, rng_data)
-        man = Oblique(a.shape[0], cfg.p)
-        obj = BurerMonteiro(a, cfg.p, man)
-        x0 = Point(man, burer_monteiro_start(a.shape[0], cfg.p))
+        obj = BurerMonteiro(a, cfg.p)
+        x0 = Point(obj.manifold, burer_monteiro_start(a.shape[0], cfg.p))
         extras["f0"] = obj.value(x0)
         extras["grad0_norm"] = obj.rgrad(x0).norm()
     else:
@@ -291,7 +289,7 @@ def _thresholds_for(cfg: ExperimentConfig, obj, x0,
     info: dict = {}
     beta_hat, rho_hat = cfg.beta, cfg.rho_hat
     if beta_hat is None or rho_hat is None:
-        radius = min(0.5, inj / 4.0) if math.isfinite(inj) else 0.5
+        radius = min(0.5, inj / 4.0)
         est = estimate_smoothness(obj, x0, radius, 12, rng_smooth)
         info["beta_estimated"] = est.beta_hat
         info["rho_estimated"] = est.rho_hat
@@ -310,8 +308,8 @@ def _thresholds_for(cfg: ExperimentConfig, obj, x0,
     else:
         thr = practical_thresholds(
             beta_hat, rho_hat, cfg.epsilon, dim_d=geom.dimension, delta=cfg.delta,
-            injectivity=inj, eta=cfg.eta, r=cfg.r, g_thres=cfg.g_thres,
-            f_thres=cfg.f_thres, t_thres=cfg.t_thres)
+            eta=cfg.eta, r=cfg.r, g_thres=cfg.g_thres, f_thres=cfg.f_thres,
+            t_thres=cfg.t_thres)
     return thr, info
 
 
@@ -510,8 +508,7 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
             bound = 2 * float(np.max(np.abs(diag)))
             try:
                 thr = practical_thresholds(bound, bound, cfg.epsilon,
-                                           dim_d=man.geometry().dimension,
-                                           injectivity=man.geometry().injectivity_radius)
+                                           dim_d=man.geometry().dimension)
                 probe = geoverify.coupling_probe(obj, man, saddle, thr, cfg.mu,
                                                  cfg.probe_steps, rng)
                 with open(os.path.join(out, "report_coupling.txt"), "w", encoding="utf-8") as fh:
@@ -575,6 +572,8 @@ def describe_thresholds(cfg: ExperimentConfig, seed: int | None = None) -> str:
             lines.append(f"{key} = {fmt(info[key])}")
     lines.append(f"epsilon = {fmt(cfg.epsilon)}")
     lines.append(f"delta = {fmt(cfg.delta)}")
-    for f_ in fields(thr):
+    for f_ in fields(thr)[:-1]:  # every field but `mode`, which ends the printout
         lines.append(f"{f_.name} = {fmt(getattr(thr, f_.name))}")
+    lines.append(f"injectivity = {fmt(obj.manifold.geometry().injectivity_radius)}")
+    lines.append(f"mode = {thr.mode}")
     return "\n".join(lines) + "\n"

@@ -133,11 +133,12 @@ class Manifold:
 
     name: str = "manifold"
     shape: tuple[int, ...] = ()
+    _geometry: GeometryInfo  # built once by each subclass's __init__
 
     # -- geometry data -------------------------------------------------
 
     def geometry(self) -> GeometryInfo:
-        raise NotImplementedError
+        return self._geometry
 
     # -- constructors with invariant checks ----------------------------
 
@@ -264,9 +265,7 @@ class Euclidean(Manifold):
         self.n = n
         self.name = f"euclidean({n})"
         self.shape = (n,)
-
-    def geometry(self) -> GeometryInfo:
-        return GeometryInfo(0.0, math.inf, self.n)
+        self._geometry = GeometryInfo(0.0, math.inf, n)
 
     def feasibility_residual(self, coords):
         return 0.0
@@ -311,9 +310,7 @@ class Sphere(Manifold):
         self.n = n
         self.name = f"sphere({n})"
         self.shape = (n,)
-
-    def geometry(self) -> GeometryInfo:
-        return GeometryInfo(1.0, math.pi, self.n - 1)
+        self._geometry = GeometryInfo(1.0, math.pi, n - 1)
 
     def feasibility_residual(self, coords):
         return abs(_norm(coords) - 1.0)
@@ -323,10 +320,8 @@ class Sphere(Manifold):
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if not v.coords.any():
-            return x
         th = _norm(v.coords)
-        if th == 0.0:  # the norm underflowed although some entry is nonzero
+        if th == 0.0:  # a zero tangent, or one whose norm underflows
             return x
         if th < 1e-9:
             y = x.coords + v.coords  # cubic error, below rounding at this scale
@@ -394,10 +389,8 @@ class Oblique(Manifold):
         self.p = p
         self.name = f"oblique({d},{p})"
         self.shape = (d, p)
-
-    def geometry(self) -> GeometryInfo:
         # per-factor curvature 1; injectivity of a product is the factor minimum
-        return GeometryInfo(1.0, math.pi, self.d * (self.p - 1))
+        self._geometry = GeometryInfo(1.0, math.pi, d * (p - 1))
 
     def feasibility_residual(self, coords):
         return float(np.max(np.abs(np.linalg.norm(coords, axis=1) - 1.0)))
@@ -484,9 +477,7 @@ class Grassmann(Manifold):
         self.k = k
         self.name = f"grassmann({n},{k})"
         self.shape = (n, k)
-
-    def geometry(self) -> GeometryInfo:
-        return GeometryInfo(2.0, math.pi / 2, self.k * (self.n - self.k))
+        self._geometry = GeometryInfo(2.0, math.pi / 2, k * (n - k))
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords

@@ -74,7 +74,7 @@ class DiagonalQuadratic(Objective):
     def exact_hess(self, x, v):
         if isinstance(self.manifold, Sphere):
             pv = self.manifold.project_tangent(x, v.coords).coords
-            fx = float(x.coords @ (self.diag * x.coords))
+            fx = self.value(x)
             w = 2.0 * (self.diag * pv - fx * pv)
             return self.manifold.project_tangent(x, w)
         return Tangent(x, readonly(2.0 * self.diag * v.coords))
@@ -108,25 +108,19 @@ class _QuadraticForm(Objective):
 class KPCA(_QuadraticForm):
     """f(X) = -1/2 tr(X^T H X) (M = -H) on Grassmann: top-k invariant subspace of H."""
 
-    def __init__(self, h, k: int, manifold: Grassmann | None = None):
+    def __init__(self, h, k: int):
         self.h = np.asarray(h, dtype=float)
         super().__init__(-self.h, "H")
-        self.k = k
-        self.manifold = manifold if manifold is not None else Grassmann(len(self.h), k)
-        if self.manifold.shape != (len(self.h), k):
-            raise ValueError("manifold shape does not match (n, k)")
+        self.manifold = Grassmann(len(self.h), k)
 
 
 class BurerMonteiro(_QuadraticForm):
     """f(Y) = 1/2 tr(A Y Y^T) (M = A) on the oblique manifold (unit-norm rows of Y)."""
 
-    def __init__(self, a, p: int, manifold: Oblique | None = None):
+    def __init__(self, a, p: int):
         self.a = np.asarray(a, dtype=float)
         super().__init__(self.a, "A")
-        self.p = p
-        self.manifold = manifold if manifold is not None else Oblique(len(self.a), p)
-        if self.manifold.shape != (len(self.a), p):
-            raise ValueError("manifold shape does not match (d, p)")
+        self.manifold = Oblique(len(self.a), p)
 
 
 def default_fd_step(x: Point, v: Tangent) -> float:

@@ -20,6 +20,12 @@ STATUS_STEP_FAILURE = "step-failure"
 STATUS_FIRST_ORDER = "first-order-point"  # baseline gradient-tolerance stop
 
 
+def _require_finite_positive(**values: float):
+    for name, val in values.items():
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {val}")
+
+
 @dataclass(frozen=True)
 class AssumptionParams:
     """Smoothness/curvature constants and targets feeding the threshold box.
@@ -41,17 +47,14 @@ class AssumptionParams:
     rho_hat: float | None = None
 
     def __post_init__(self):
-        for name in ("beta", "rho", "epsilon", "f_gap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.rho_hat is None:
+            object.__setattr__(self, "rho_hat", self.rho)
+        _require_finite_positive(beta=self.beta, rho=self.rho, rho_hat=self.rho_hat,
+                                 epsilon=self.epsilon, f_gap=self.f_gap)
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.dim_d < 1:
             raise ValueError("dim_d must be >= 1")
-        if self.rho_hat is None:
-            object.__setattr__(self, "rho_hat", self.rho)
-        elif self.rho_hat <= 0:
-            raise ValueError("rho_hat must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class ThresholdSet:
     script_G: float
     script_S: float
     script_T: float
-    injectivity: float = math.inf
     mode: str = "theory"
 
 
@@ -121,13 +123,12 @@ def derive_thresholds(p: AssumptionParams, c_hat: float = 4.0,
         c_hat=c_hat, c_max=c_max, chi=chi, r=r, f_thres=f_thres,
         g_thres=g_thres, t_thres=t_thres, eta=eta, gamma=gamma, kappa=kappa,
         script_F=script_F, script_G=script_G, script_S=script_S,
-        script_T=script_T, injectivity=p.injectivity, mode="theory",
+        script_T=script_T, mode="theory",
     )
 
 
 def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
                          dim_d: int = 2, delta: float = 0.1,
-                         injectivity: float = math.inf,
                          eta: float | None = None, r: float | None = None,
                          g_thres: float | None = None,
                          f_thres: float | None = None,
@@ -139,18 +140,19 @@ def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
     g_thres = epsilon, t_thres = ceil(4/(eta sqrt(rho_hat epsilon))) and
     f_thres = 0.1 sqrt(epsilon^3/rho_hat), all overridable.  The remaining
     fields are filled with the same formulas as the theory box so reports stay
-    uniform.
+    uniform.  Every float input and resolved threshold must be finite and
+    positive.
     """
-    if beta_hat <= 0 or rho_hat <= 0 or epsilon <= 0:
-        raise ValueError("beta_hat, rho_hat and epsilon must be positive")
+    _require_finite_positive(beta_hat=beta_hat, rho_hat=rho_hat, epsilon=epsilon)
     eta = 0.1 / beta_hat if eta is None else eta
     r = math.sqrt(epsilon) if r is None else r
     g_thres = epsilon if g_thres is None else g_thres
+    f_thres = 0.1 * math.sqrt(epsilon ** 3 / rho_hat) if f_thres is None else f_thres
+    _require_finite_positive(eta=eta, r=r, g_thres=g_thres, f_thres=f_thres)
     gamma = math.sqrt(rho_hat * epsilon)
     t_thres = int(math.ceil(4.0 / (eta * gamma))) if t_thres is None else int(t_thres)
-    f_thres = 0.1 * math.sqrt(epsilon ** 3 / rho_hat) if f_thres is None else f_thres
-    if min(eta, r, g_thres, f_thres) <= 0 or t_thres < 1:
-        raise ValueError("thresholds must be positive")
+    if t_thres < 1:
+        raise ValueError(f"t_thres must be >= 1, got {t_thres}")
     kappa = beta_hat / gamma
     log_term = math.log(max(dim_d * kappa / delta, math.e))
     c_max = eta * beta_hat  # back-derived from eta = c_max / beta
@@ -162,7 +164,7 @@ def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
         script_G=math.sqrt(eta * beta_hat) * gamma ** 2 / rho_hat / log_term ** 2,
         script_S=math.sqrt(eta * beta_hat) * gamma / rho_hat / log_term,
         script_T=log_term / (eta * gamma),
-        injectivity=injectivity, mode="practical",
+        mode="practical",
     )
 
 
@@ -218,15 +220,15 @@ def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> Run
     return RunResult(status, x, fx, gnorm, len(trace.rows), trace)
 
 
-def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
-                 injectivity: float) -> tuple[Point, float]:
-    """Gradient step of geodesic length min(eta * gnorm, injectivity).
+def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float) -> tuple[Point, float]:
+    """Gradient step of geodesic length min(eta * gnorm, inj), with inj the
+    injectivity radius of `man`.
 
-    Returns the next point and eta_bar = min(eta, injectivity / gnorm), or
-    (x, 0.0) when gnorm is not positive."""
+    Returns the next point and eta_bar = min(eta, inj / gnorm), or (x, 0.0)
+    when gnorm is not positive."""
     if not gnorm > 0:
         return x, 0.0
-    eta_bar = min(eta, injectivity / gnorm)
+    eta_bar = min(eta, man.geometry().injectivity_radius / gnorm)
     return man.exp(x, Tangent(x, readonly(-eta_bar * grad.coords))), eta_bar
 
 
@@ -239,7 +241,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     the tangent ball of radius r; (2) if exactly t_thres steps have passed
     since the last perturbation and f failed to drop by f_thres, terminate
     with the saved iterate; (3) otherwise take a gradient step of geodesic
-    length min(eta * ||grad||, injectivity); (4) advance t.
+    length min(eta * ||grad||, injectivity radius); (4) advance t.
 
     Returns the updated OptState, or a RunResult when the run terminates.
     """
@@ -272,7 +274,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         ))
         return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
 
-    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, thr.injectivity)
+    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta)
     state.trace.rows.append(TraceRow(
         t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed,
         dist_to_start=man.dist(x, state.x_start),
@@ -304,7 +306,6 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
     """Plain Riemannian gradient descent with the same step clamp and no
     perturbation; stops once the gradient norm reaches g_tol."""
     man = obj.manifold
-    inj = man.geometry().injectivity_radius
     t0 = time.perf_counter()
     trace = Trace()
     x = x0
@@ -319,7 +320,7 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
             trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False, man.dist(x, x0)))
             status = STATUS_FIRST_ORDER
             break
-        x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta, inj)
+        x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta)
         trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False,
                                    man.dist(x, x0)))
         x = x_next

@@ -267,7 +267,6 @@ def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: floa
     satisfy f(u+) <= f(u) - 0.5 * eta_bar * |grad|^2 up to 1e-12."""
     man = obj.manifold
     center, radius = region
-    inj = man.geometry().injectivity_radius
     worst = 0.0
     violations = 0
     for _ in range(n):
@@ -276,7 +275,7 @@ def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: floa
         gn = g.norm()
         if gn == 0:
             continue
-        u_plus, eta_bar = clamped_step(man, u, g, gn, eta, inj)
+        u_plus, eta_bar = clamped_step(man, u, g, gn, eta)
         violation = obj.value(u_plus) - obj.value(u) + 0.5 * eta_bar * gn ** 2
         if violation > 1e-12:
             violations += 1
@@ -352,9 +351,9 @@ def coupling_probe(obj: Objective, manifold: Manifold, saddle_x: Point,
         if t == T_max:
             break
         gu = obj.rgrad(u)
-        u, _ = clamped_step(manifold, u, gu, gu.norm(), thr.eta, thr.injectivity)
+        u, _ = clamped_step(manifold, u, gu, gu.norm(), thr.eta)
         gw = obj.rgrad(w)
-        w, _ = clamped_step(manifold, w, gw, gw.norm(), thr.eta, thr.injectivity)
+        w, _ = clamped_step(manifold, w, gw, gw.norm(), thr.eta)
     ratios = [psi[i + 1] / psi[i] for i in range(len(psi) - 1) if psi[i] > 0]
     growth_threshold = 1.0 + thr.eta * thr.gamma / 2.0
     frac = (sum(1 for q in ratios if q >= growth_threshold) / len(ratios)) if ratios else 0.0

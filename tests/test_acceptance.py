@@ -41,7 +41,7 @@ def report(name: str, ok: bool, detail: str) -> bool:
 
 
 def fig_thresholds():
-    return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, injectivity=math.pi,
+    return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2,
                                 eta=0.05, r=1e-3, g_thres=1e-4, t_thres=200,
                                 f_thres=1e-8)
 
@@ -190,8 +190,7 @@ def test_criterion_4_rate_scaling():
     t0 = time.perf_counter()
     mean_iters, budgets, terms, failures = [], [], set(), []
     for eps in eps_grid:
-        thr = practical_thresholds(8.0, 8.0, eps, dim_d=2, injectivity=math.pi,
-                                   eta=0.05)
+        thr = practical_thresholds(8.0, 8.0, eps, dim_d=2, eta=0.05)
         p_budget, s_budget = rate_budgets(thr, f_gap)
         budgets.append(p_budget * (thr.t_thres + 1) + s_budget)  # N(eps)
         counts = []
@@ -228,8 +227,7 @@ def test_criterion_4_checks_reject_a_run_off_by_one_row():
     obj = DiagonalQuadratic(D_FIG)
     x0 = obj.manifold.point([1.0, 0.0, 0.0])
     f_gap = obj.value(x0) - float(D_FIG.min())
-    thr = practical_thresholds(8.0, 8.0, 1e-1, dim_d=2, injectivity=math.pi,
-                               eta=0.05)
+    thr = practical_thresholds(8.0, 8.0, 1e-1, dim_d=2, eta=0.05)
     rows = run(obj, x0, thr, 10_000, np.random.default_rng(0)).trace.rows
     assert rate_budget_failures(rows, len(rows), thr, f_gap)[2] == []
     extra = rows + [dataclasses.replace(rows[-1], t=rows[-1].t + 1)]
@@ -284,7 +282,7 @@ def test_criterion_6_coupling_probe():
     obj = DiagonalQuadratic(D_FIG)
     man = obj.manifold
     saddle = man.point([1.0, 0.0, 0.0])
-    thr = practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, injectivity=math.pi)
+    thr = practical_thresholds(8.0, 8.0, 1e-4, dim_d=2)
     failures = []
     worst_frac = 1.0
     for seed in range(10):

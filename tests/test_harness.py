@@ -1,5 +1,7 @@
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -269,7 +271,25 @@ class TestRunExperiment:
         assert (tmp_path / "v" / "report_holonomy.txt").exists()
 
 
+THRESHOLD_KEYS = ["c_hat", "c_max", "chi", "r", "f_thres", "g_thres", "t_thres", "eta",
+                  "gamma", "kappa", "script_F", "script_G", "script_S", "script_T",
+                  "injectivity", "mode"]
+
+
 class TestDescribeThresholds:
+    @pytest.mark.parametrize("mode,text", [
+        ("practical", MINIMAL_SPHERE),
+        ("theory", "experiment = sphere-quadratic\nseed = 7\ndiag = 1,-1,4\n"
+                   "mode = theory\nbeta = 8\nrho = 8\nf_gap = 2\nepsilon = 0.1\n"),
+    ])
+    def test_ordered_keys(self, mode, text):
+        lines = describe_thresholds(parse_config(text)).splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        assert keys == ["mode", "seed", "beta_estimated", "rho_estimated", "beta_hat",
+                        "rho_hat", "epsilon", "delta"] + THRESHOLD_KEYS
+        assert lines[0] == lines[-1] == f"mode = {mode}"
+        assert "injectivity = 3.1415926535897931" in lines
+
     def test_practical_fields_present(self):
         cfg = parse_config(MINIMAL_SPHERE)
         text = describe_thresholds(cfg)
@@ -283,6 +303,17 @@ class TestDescribeThresholds:
         text = describe_thresholds(cfg)
         assert "mode = theory" in text
         assert "chi = " in text
+
+
+def test_readme_library_example_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        code = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("second-order-point")
 
 
 class TestCli:

@@ -827,6 +827,12 @@ def test_every_manifold_has_every_map(cls):
     assert np.all(np.isfinite(p.coords)) and p.base is x
 
 
+@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
+def test_geometry_is_built_once(cls):
+    man = make_manifold(cls)
+    assert man.geometry() is man.geometry()
+
+
 def test_import_does_not_load_scipy():
     src = os.path.dirname(os.path.dirname(manifolds.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

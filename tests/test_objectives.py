@@ -8,11 +8,9 @@ from geodescent import (
     DiagonalQuadratic,
     Euclidean,
     GeometryError,
-    Grassmann,
     KPCA,
     Manifold,
     Objective,
-    Oblique,
     Sphere,
     Tangent,
     estimate_smoothness,
@@ -140,10 +138,6 @@ class TestQuadraticFormCache:
             KPCA(np.zeros((2, 3)), 1)
         with pytest.raises(ValueError, match="A must be square"):
             BurerMonteiro(np.zeros((2, 3)), 2)
-        with pytest.raises(ValueError, match="manifold shape does not match"):
-            KPCA(H5, 2, Grassmann(5, 3))
-        with pytest.raises(ValueError, match="manifold shape does not match"):
-            BurerMonteiro(np.eye(3), 2, Oblique(3, 3))
 
 
 class TestGradient:

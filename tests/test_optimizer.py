@@ -28,7 +28,7 @@ def fig_objective():
 
 def fig_thresholds():
     # the Figure-1 practical parameters
-    return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, injectivity=math.pi,
+    return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2,
                                 eta=0.05, r=1e-3, g_thres=1e-4, t_thres=200,
                                 f_thres=1e-8)
 
@@ -95,6 +95,16 @@ class TestDeriveThresholds:
         with pytest.warns(RuntimeWarning, match="admissible accuracy bound"):
             derive_thresholds(p, c_hat=4.0, c2=1e9, c3=1e9)
 
+    @pytest.mark.parametrize("name,val", [
+        ("beta", math.nan), ("rho", math.inf), ("rho_hat", math.nan), ("epsilon", math.inf),
+        ("f_gap", math.nan), ("beta", -1.0),
+    ])
+    def test_assumptions_reject_values_not_finite_and_positive(self, name, val):
+        args = {"beta": 8.0, "rho": 8.0, "epsilon": 0.1, "delta": 0.1, "f_gap": 2.0,
+                "dim_d": 2, name: val}
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {val}$"):
+            AssumptionParams(**args)
+
 
 class TestPracticalThresholds:
     def test_documented_defaults(self):
@@ -110,6 +120,17 @@ class TestPracticalThresholds:
         thr = practical_thresholds(8.0, 8.0, 1e-2, eta=0.3, r=1e-5, t_thres=77)
         assert (thr.eta, thr.r, thr.t_thres) == (0.3, 1e-5, 77)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"beta_hat": math.nan}, {"rho_hat": math.inf}, {"epsilon": math.nan},
+        {"epsilon": -1e-4}, {"eta": math.inf}, {"r": math.nan}, {"g_thres": math.inf},
+        {"f_thres": math.nan}, {"f_thres": 0.0},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_values_not_finite_and_positive(self, kwargs):
+        args = {"beta_hat": 8.0, "rho_hat": 8.0, "epsilon": 1e-4, **kwargs}
+        (name, val), = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {val}$"):
+            practical_thresholds(**args)
+
 
 class TestPrgdStep:
     def test_large_gradient_takes_descending_step(self):
@@ -124,7 +145,7 @@ class TestPrgdStep:
         assert isinstance(out, OptState)
         assert not out.trace.rows[-1].perturbed
         if g0.norm() > thr.g_thres:
-            eta_bar = min(thr.eta, thr.injectivity / g0.norm())
+            eta_bar = min(thr.eta, math.pi / g0.norm())
             assert obj.value(out.x) <= f0 - 0.5 * eta_bar * g0.norm() ** 2 + 1e-12
 
     def test_small_gradient_perturbs_within_radius(self):
@@ -146,7 +167,7 @@ class TestPrgdStep:
     def test_window_without_decrease_terminates_with_anchor(self):
         man = Sphere(3)
         obj = Constant(man, 0.0)
-        thr = practical_thresholds(1.0, 1.0, 1e-2, injectivity=math.pi,
+        thr = practical_thresholds(1.0, 1.0, 1e-2,
                                    eta=0.1, r=1e-3, t_thres=5, f_thres=1e-8)
         x0 = man.point([1.0, 0.0, 0.0])
         state = OptState.initial(x0, thr)
@@ -204,7 +225,7 @@ class TestRun:
     def test_zero_objective_terminates_at_first_window(self):
         man = Sphere(4)
         obj = Constant(man, 0.0)
-        thr = practical_thresholds(1.0, 1.0, 1e-2, injectivity=math.pi,
+        thr = practical_thresholds(1.0, 1.0, 1e-2,
                                    eta=0.1, r=1e-2, t_thres=10, f_thres=1e-9)
         x0 = man.point([0.0, 0.0, 0.0, 1.0])
         result = run(obj, x0, thr, 1000, np.random.default_rng(9))
@@ -242,11 +263,21 @@ class TestRunInvariants:
                      np.random.default_rng(13))
         rows = result.trace.rows
         for a, b in zip(rows, rows[1:]):
-            assert a.step_norm <= min(thr.eta * a.gradnorm, thr.injectivity) + 1e-15
+            assert a.step_norm <= min(thr.eta * a.gradnorm, math.pi) + 1e-15
             if b.perturbed or a.gradnorm == 0.0:
                 continue
             eta_bar = a.step_norm / a.gradnorm
             assert b.f <= a.f - 0.5 * eta_bar * a.gradnorm ** 2 + 1e-12
+
+    def test_step_clamped_at_the_manifold_injectivity_radius(self):
+        # eta = 10 makes eta * |grad| about 374 at the start; the sphere clamps it to pi
+        obj = DiagonalQuadratic([1.0, -1.0, 40.0])
+        thr = practical_thresholds(beta_hat=0.01, rho_hat=8.0, epsilon=1e-4)
+        result = run(obj, obj.manifold.point([0.6, 0.0, 0.8]), thr, 2_000,
+                     np.random.default_rng(0))
+        rows = result.trace.rows
+        assert rows[0].step_norm == pytest.approx(math.pi)
+        assert all(row.step_norm <= math.pi + 1e-12 for row in rows)
 
     def test_perturbation_displacement_bounded(self, monkeypatch):
         obj = fig_objective()

@@ -276,7 +276,7 @@ class TestDescent:
 
 class TestCouplingProbe:
     def thresholds(self):
-        return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, injectivity=math.pi)
+        return practical_thresholds(8.0, 8.0, 1e-4, dim_d=2)
 
     def test_mu_zero_keeps_sequences_identical(self):
         obj = DiagonalQuadratic(D_FIG)
