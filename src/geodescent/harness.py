@@ -328,10 +328,10 @@ class ExperimentOutcome:
 
 def write_trace_csv(path: str, result: RunResult):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,f,gradnorm,step_norm,perturbed,dist_to_start\n")
+        fh.write("t,f,gradnorm,step_norm,perturbed\n")
         for row in result.trace.rows:
             fh.write(f"{row.t},{fmt(row.f)},{fmt(row.gradnorm)},"
-                     f"{fmt(row.step_norm)},{fmt(row.perturbed)},{fmt(row.dist_to_start)}\n")
+                     f"{fmt(row.step_norm)},{fmt(row.perturbed)}\n")
 
 
 def write_summary(path: str, summary: dict):

@@ -31,10 +31,11 @@ class AssumptionParams:
     """Smoothness/curvature constants and targets feeding the threshold box.
 
     beta and rho are the gradient/Hessian Lipschitz constants, injectivity
-    the injectivity radius, epsilon the target accuracy, delta the failure
-    probability, f_gap an upper bound on f(x0) - f*, dim_d the intrinsic
-    manifold dimension, and rho_hat the inflated Hessian constant (defaults
-    to rho when the curvature coupling constant is unknown).
+    the injectivity radius (positive, inf when unbounded), epsilon the
+    target accuracy, delta the failure probability, f_gap an upper bound on
+    f(x0) - f*, dim_d the intrinsic manifold dimension, and rho_hat the
+    inflated Hessian constant (defaults to rho when the curvature coupling
+    constant is unknown).
     """
 
     beta: float
@@ -51,6 +52,8 @@ class AssumptionParams:
             object.__setattr__(self, "rho_hat", self.rho)
         _require_finite_positive(beta=self.beta, rho=self.rho, rho_hat=self.rho_hat,
                                  epsilon=self.epsilon, f_gap=self.f_gap)
+        if not self.injectivity > 0:
+            raise ValueError(f"injectivity must be positive, got {self.injectivity}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.dim_d < 1:
@@ -78,6 +81,18 @@ class ThresholdSet:
     mode: str = "theory"
 
 
+def _script_scales(eta: float, beta: float, gamma: float, rho_hat: float,
+                   log_term: float) -> dict[str, float]:
+    """The paper's function-decrease, gradient, distance and time scales
+    (script F, G, S and T) shared by both threshold modes."""
+    return {
+        "script_F": eta * beta * gamma ** 3 / rho_hat ** 2 / log_term ** 3,
+        "script_G": math.sqrt(eta * beta) * gamma ** 2 / rho_hat / log_term ** 2,
+        "script_S": math.sqrt(eta * beta) * gamma / rho_hat / log_term,
+        "script_T": log_term / (eta * gamma),
+    }
+
+
 def derive_thresholds(p: AssumptionParams, c_hat: float = 4.0,
                       c2: float = 1.0, c3: float = 1.0) -> ThresholdSet:
     """Derive every constant of the parameter box from the assumptions.
@@ -100,10 +115,6 @@ def derive_thresholds(p: AssumptionParams, c_hat: float = 4.0,
     eta = c_max / p.beta
     kappa = p.beta / gamma
     log_term = math.log(p.dim_d * kappa / p.delta)
-    script_F = eta * p.beta * gamma ** 3 / p.rho_hat ** 2 / log_term ** 3
-    script_G = math.sqrt(eta * p.beta) * gamma ** 2 / p.rho_hat / log_term ** 2
-    script_S = math.sqrt(eta * p.beta) * gamma / p.rho_hat / log_term
-    script_T = log_term / (eta * gamma)
 
     # accuracy bound check (warning only: c2, c3 are empirical fits)
     acc_log = math.log(p.dim_d * p.beta / (gamma * p.delta))
@@ -122,8 +133,7 @@ def derive_thresholds(p: AssumptionParams, c_hat: float = 4.0,
     return ThresholdSet(
         c_hat=c_hat, c_max=c_max, chi=chi, r=r, f_thres=f_thres,
         g_thres=g_thres, t_thres=t_thres, eta=eta, gamma=gamma, kappa=kappa,
-        script_F=script_F, script_G=script_G, script_S=script_S,
-        script_T=script_T, mode="theory",
+        **_script_scales(eta, p.beta, gamma, p.rho_hat, log_term), mode="theory",
     )
 
 
@@ -141,7 +151,7 @@ def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
     f_thres = 0.1 sqrt(epsilon^3/rho_hat), all overridable.  The remaining
     fields are filled with the same formulas as the theory box so reports stay
     uniform.  Every float input and resolved threshold must be finite and
-    positive.
+    positive, and t_thres an integer >= 1.
     """
     _require_finite_positive(beta_hat=beta_hat, rho_hat=rho_hat, epsilon=epsilon)
     eta = 0.1 / beta_hat if eta is None else eta
@@ -150,21 +160,18 @@ def practical_thresholds(beta_hat: float, rho_hat: float, epsilon: float,
     f_thres = 0.1 * math.sqrt(epsilon ** 3 / rho_hat) if f_thres is None else f_thres
     _require_finite_positive(eta=eta, r=r, g_thres=g_thres, f_thres=f_thres)
     gamma = math.sqrt(rho_hat * epsilon)
-    t_thres = int(math.ceil(4.0 / (eta * gamma))) if t_thres is None else int(t_thres)
-    if t_thres < 1:
-        raise ValueError(f"t_thres must be >= 1, got {t_thres}")
+    if t_thres is None:
+        t_thres = math.ceil(4.0 / (eta * gamma))
+    if not (t_thres >= 1 and float(t_thres).is_integer()):
+        raise ValueError(f"t_thres must be an integer >= 1, got {t_thres}")
     kappa = beta_hat / gamma
     log_term = math.log(max(dim_d * kappa / delta, math.e))
     c_max = eta * beta_hat  # back-derived from eta = c_max / beta
     chi = 3.0 * max(math.log(max(dim_d * beta_hat / (4.0 * epsilon ** 2 * delta), 1.0)), 4.0)
     return ThresholdSet(
         c_hat=4.0, c_max=c_max, chi=chi, r=r, f_thres=f_thres,
-        g_thres=g_thres, t_thres=t_thres, eta=eta, gamma=gamma, kappa=kappa,
-        script_F=eta * beta_hat * gamma ** 3 / rho_hat ** 2 / log_term ** 3,
-        script_G=math.sqrt(eta * beta_hat) * gamma ** 2 / rho_hat / log_term ** 2,
-        script_S=math.sqrt(eta * beta_hat) * gamma / rho_hat / log_term,
-        script_T=log_term / (eta * gamma),
-        mode="practical",
+        g_thres=g_thres, t_thres=int(t_thres), eta=eta, gamma=gamma, kappa=kappa,
+        **_script_scales(eta, beta_hat, gamma, rho_hat, log_term), mode="practical",
     )
 
 
@@ -175,7 +182,6 @@ class TraceRow:
     gradnorm: float
     step_norm: float
     perturbed: bool
-    dist_to_start: float
 
 
 @dataclass
@@ -208,12 +214,11 @@ class OptState:
     t: int = 0
     t_noise: int = 0
     x_tilde: Point | None = None
-    x_start: Point | None = None
     trace: Trace = field(default_factory=Trace)
 
     @classmethod
     def initial(cls, x0: Point, thr: ThresholdSet) -> "OptState":
-        return cls(x=x0, t=0, t_noise=-thr.t_thres - 1, x_tilde=None, x_start=x0)
+        return cls(x=x0, t=0, t_noise=-thr.t_thres - 1, x_tilde=None)
 
 
 def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> RunResult:
@@ -269,16 +274,12 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         xt = state.x_tilde
         g_out = obj.rgrad(xt)
         state.trace.rows.append(TraceRow(
-            t=state.t, f=fx, gradnorm=gnorm, step_norm=0.0, perturbed=False,
-            dist_to_start=man.dist(x, state.x_start),
-        ))
+            t=state.t, f=fx, gradnorm=gnorm, step_norm=0.0, perturbed=False))
         return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
 
     x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta)
     state.trace.rows.append(TraceRow(
-        t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed,
-        dist_to_start=man.dist(x, state.x_start),
-    ))
+        t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed))
     state.x = x_next
     state.t += 1
     return state
@@ -317,12 +318,11 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
             status = STATUS_STEP_FAILURE
             break
         if gnorm <= g_tol:
-            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False, man.dist(x, x0)))
+            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False))
             status = STATUS_FIRST_ORDER
             break
         x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta)
-        trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False,
-                                   man.dist(x, x0)))
+        trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False))
         x = x_next
     else:
         status = STATUS_ITERATION_CAP

@@ -192,7 +192,7 @@ class TestRunExperiment:
         assert out.status == "second-order-point"
         assert out.classification == "second-order"
         trace = (tmp_path / "o" / "trace.csv").read_text().splitlines()
-        assert trace[0] == "t,f,gradnorm,step_norm,perturbed,dist_to_start"
+        assert trace[0] == "t,f,gradnorm,step_norm,perturbed"
         assert trace[0] == ",".join(f.name for f in fields(TraceRow))
         assert len(trace) == out.summary["iterations"] + 1
         summary = (tmp_path / "o" / "summary.txt").read_text()
@@ -269,6 +269,18 @@ class TestRunExperiment:
         assert {r.lemma_id for r in out.reports} == {"two-step", "holonomy"}
         assert (tmp_path / "v" / "report_two-step.txt").exists()
         assert (tmp_path / "v" / "report_holonomy.txt").exists()
+
+    def test_verify_on_flat_space_passes_every_check(self, tmp_path):
+        # the defects vanish up to rounding on Euclidean space, so no check
+        # has a slope to fit and none may fail for lack of one
+        cfg = parse_config("experiment = verify\nseed = 7\nmanifold = euclidean\nn = 3\n"
+                           "n_samples = 200\n")
+        out = run_experiment(cfg, out_dir=str(tmp_path / "v"))
+        assert out.exit_code == 0
+        reports = sorted((tmp_path / "v").glob("report_*.txt"))
+        assert len(reports) == len(out.reports) >= 5
+        for path in reports:
+            assert "passed = true" in path.read_text().splitlines(), path.name
 
 
 THRESHOLD_KEYS = ["c_hat", "c_max", "chi", "r", "f_thres", "g_thres", "t_thres", "eta",

@@ -98,11 +98,14 @@ class TestDeriveThresholds:
     @pytest.mark.parametrize("name,val", [
         ("beta", math.nan), ("rho", math.inf), ("rho_hat", math.nan), ("epsilon", math.inf),
         ("f_gap", math.nan), ("beta", -1.0),
+        # the injectivity radius may be infinite (flat space), never <= 0 or nan
+        ("injectivity", -math.pi), ("injectivity", 0.0), ("injectivity", math.nan),
     ])
     def test_assumptions_reject_values_not_finite_and_positive(self, name, val):
         args = {"beta": 8.0, "rho": 8.0, "epsilon": 0.1, "delta": 0.1, "f_gap": 2.0,
                 "dim_d": 2, name: val}
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {val}$"):
+        rule = "positive" if name == "injectivity" else "finite and positive"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {val}$"):
             AssumptionParams(**args)
 
 
@@ -124,11 +127,13 @@ class TestPracticalThresholds:
         {"beta_hat": math.nan}, {"rho_hat": math.inf}, {"epsilon": math.nan},
         {"epsilon": -1e-4}, {"eta": math.inf}, {"r": math.nan}, {"g_thres": math.inf},
         {"f_thres": math.nan}, {"f_thres": 0.0},
+        {"t_thres": math.inf}, {"t_thres": math.nan}, {"t_thres": 2.5}, {"t_thres": 0},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_rejects_values_not_finite_and_positive(self, kwargs):
         args = {"beta_hat": 8.0, "rho_hat": 8.0, "epsilon": 1e-4, **kwargs}
         (name, val), = kwargs.items()
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got {val}$"):
+        rule = "an integer >= 1" if name == "t_thres" else "finite and positive"
+        with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {val}$"):
             practical_thresholds(**args)
 
 

@@ -309,6 +309,20 @@ class TestCouplingProbe:
                            np.random.default_rng(15))
 
 
+@pytest.mark.parametrize("check", [check_two_step, check_log_bilipschitz, check_holonomy],
+                         ids=lambda check: check.__name__)
+def test_flat_space_passes_and_its_control_fails(check):
+    # on Euclidean space each defect is zero up to rounding: there is no
+    # slope to fit, so the check passes and its falsified control fails
+    man = Euclidean(3)
+    rep = check(man, 200, SCALES, np.random.default_rng(7))
+    assert max(rep.max_residual_per_scale) <= 1e-10
+    assert rep.passed
+    assert not check(man, 200, SCALES, np.random.default_rng(7), falsify=True).passed
+    # no samples measure nothing, which is not an exact case
+    assert not check(man, 0, SCALES, np.random.default_rng(7)).passed
+
+
 def test_render_report_contains_table():
     rep = check_two_step(S3, 50, SCALES, np.random.default_rng(16))
     text = render_report(rep)
