@@ -9,7 +9,7 @@ ambient Frobenius (dot) product restricted to tangent spaces in all cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
@@ -17,6 +17,7 @@ from numpy.linalg import _linalg, _umath_linalg
 FEAS_TOL = 1e-10      # feasibility residual allowed on points
 TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
 _F8 = np.dtype(float)
+_TINY = np.finfo(float).tiny  # smallest normal float64, 2.2250738585072014e-308
 
 
 class GeometryError(ValueError):
@@ -89,33 +90,47 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
 
 
-@dataclass(frozen=True, eq=False)
 class Point:
     """An element of a manifold, stored in ambient coordinates.
 
     `coords` is read-only float64: a read-only float64 array owning its memory
     is shared, anything else (a writeable array, a view, a list) is copied.
-    `Tangent.coords` follows the same rule."""
+    `Tangent.coords` follows the same rule.  Points and tangents are
+    immutable and compare by identity, so a cache may key on `is`."""
 
-    manifold: "Manifold"
-    coords: np.ndarray = field(repr=False)
+    __slots__ = ("manifold", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(self.coords))
+    def __init__(self, manifold: "Manifold", coords):
+        _set_point_manifold(self, manifold)
+        _set_point_coords(self, _freeze(coords))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __reduce__(self):
+        return Point, (self.manifold, self.coords)
 
     def __repr__(self):
         return f"Point({self.manifold.name}, {np.array2string(self.coords, precision=4)})"
 
 
-@dataclass(frozen=True, eq=False)
 class Tangent:
     """A tangent vector anchored at a base point."""
 
-    base: Point
-    coords: np.ndarray = field(repr=False)
+    __slots__ = ("base", "coords")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _freeze(self.coords))
+    def __init__(self, base: Point, coords):
+        _set_tangent_base(self, base)
+        _set_tangent_coords(self, _freeze(coords))
+
+    __setattr__ = Point.__setattr__
+    __delattr__ = Point.__delattr__
+
+    def __reduce__(self):
+        return Tangent, (self.base, self.coords)
 
     @property
     def manifold(self) -> "Manifold":
@@ -126,6 +141,11 @@ class Tangent:
 
     def __repr__(self):
         return f"Tangent({self.manifold.name}, norm={self.norm():.4g})"
+
+
+# the slots' own setters: the only writes `__setattr__` leaves open
+_set_point_manifold, _set_point_coords = Point.manifold.__set__, Point.coords.__set__
+_set_tangent_base, _set_tangent_coords = Tangent.base.__set__, Tangent.coords.__set__
 
 
 class Manifold:
@@ -234,7 +254,7 @@ class Manifold:
 
     def _check_injectivity(self, d: float, what: str):
         inj = self.geometry().injectivity_radius
-        if d >= inj:
+        if not d < inj:  # a NaN distance fails too
             raise GeometryError(
                 f"{what} undefined: distance {d:.6g} >= injectivity radius {inj:.6g} of {self.name}"
             )
@@ -416,13 +436,15 @@ class Oblique(Manifold):
     def exp(self, x, v):
         self._check_base(x, v)
         th = _row_norms(v.coords)
-        small = th.min() < 1e-9  # rows with th < 1e-9 take the step x + v
-        if small and not v.coords.any():  # only a small row can be all zero
+        if th.max() == 0.0 and not v.coords.any():  # rows that underflow to th = 0 still step
             return x
+        # Below th = 1e-9, cos(th) == 1.0 and sin(th) == th in float64, so
+        # those rows step to x + v exactly, with no mask.  A row whose norm
+        # underflows to 0 divides by the smallest normal instead, where
+        # sin(ts) / ts == 1.0 too.
+        ts = np.maximum(th, _TINY)
         out = np.cos(th) * x.coords
-        out += (np.sin(th) / (np.where(th > 0, th, 1.0) if small else th)) * v.coords
-        if small:
-            out = np.where(th < 1e-9, x.coords + v.coords, out)
+        out += (np.sin(ts) / ts) * v.coords
         out /= _row_norms(out)
         return Point(self, readonly(out))
 

@@ -1,7 +1,9 @@
 import ast
+import copy
 import inspect
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -268,7 +270,7 @@ def parent_sphere_dist(x, y):
 
 def parent_sphere_transport(name, x, y, w):
     d = parent_sphere_dist(x, y)
-    if d >= math.pi:
+    if not d < math.pi:  # a NaN distance fails the guard too
         raise GeometryError(
             f"transport undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of {name}"
         )
@@ -312,7 +314,7 @@ def parent_grassmann_dist(x, y):
 
 def parent_grassmann_log(name, x, y):
     d = parent_grassmann_dist(x, y)
-    if d >= math.pi / 2:
+    if not d < math.pi / 2:  # a NaN distance fails the guard too
         raise GeometryError(
             f"log undefined: distance {d:.6g} >= injectivity radius {math.pi / 2:.6g} of {name}"
         )
@@ -395,6 +397,55 @@ class TestLeanKernelsSameBits:
         man, x, _ = self.draw(0)
         assert man.exp(x, Tangent(x, np.zeros(man.shape))) is x
 
+    def test_exp_rows_whose_norm_underflows(self):
+        """A row of scale 1e-170 or 1e-300 has a row norm of 0.0 but is not zero;
+        when every row is like that, exp still steps instead of returning x."""
+        for k in range(self.DRAWS):
+            man, x, rng = self.draw(k)
+            tiny = rng.choice([1e-170, 1e-300])
+            v = oblique_tangent(man, x, np.full(man.d, tiny), rng)
+            assert v.coords.all() and not manifolds._row_norms(v.coords).any()
+            y = man.exp(x, v)
+            assert y is not x and np.array_equal(y.coords, parent_oblique_exp(x.coords, v.coords))
+            v = oblique_tangent(man, x, rng.choice([0.0, tiny, 1e-12, 0.3, 2.0], size=man.d), rng)
+            assert np.array_equal(man.exp(x, v).coords, parent_oblique_exp(x.coords, v.coords))
+
+    def test_exp_at_the_burer_monteiro_shape(self):
+        """100 x 20 with 95 exactly-zero rows: the Burer-Monteiro gradient is
+        zero outside the 5 rows of its cost block."""
+        man = Oblique(100, 20)
+        for k in range(self.DRAWS):
+            rng = np.random.default_rng(k)
+            x = man.random_point(rng)
+            norms = np.zeros(man.d)
+            norms[rng.choice(man.d, 5, replace=False)] = rng.uniform(1e-6, 3.0, 5)
+            v = oblique_tangent(man, x, norms, rng)
+            assert (~v.coords.any(axis=1)).sum() == 95
+            assert np.array_equal(man.exp(x, v).coords, parent_oblique_exp(x.coords, v.coords))
+
+    def test_small_angle_identity_the_exp_kernel_relies_on(self):
+        """cos(t) == 1.0 and sin(t) == t on (0, 1e-9], subnormals included, so
+        rows below 1e-9 step to exactly x + v without a mask."""
+        t = np.concatenate([np.geomspace(5e-324, 1e-9, 20001), [np.finfo(float).tiny]])
+        assert t.min() > 0.0 and t.max() <= 1e-9 and (t < np.finfo(float).tiny).sum() > 900
+        for a in (t, t[:, None], t[::-1]):
+            assert (np.cos(a) == 1.0).all() and (np.sin(a) == a).all()
+
+    def test_exp_nan_row_leaves_exactly_zero_rows_finite(self):
+        """A NaN row does not spoil the other rows: exactly-zero rows step to
+        x/|x|, as with a finite tangent and as in `parent_oblique_exp`.  (The
+        masked kernel before this one skipped its small-row branch when a NaN
+        made `th.min()` NaN, and gave those rows sin(0)/0 = NaN.)"""
+        man = Oblique(3, 2)
+        x = man.point(np.eye(2)[[0, 1, 0]])
+        nan_row = np.array([[0.0, np.nan], [0.0, 0.0], [0.0, 0.5]])
+        with np.errstate(invalid="ignore"):
+            y = man.exp(x, Tangent(x, nan_row)).coords
+            assert np.array_equal(y, parent_oblique_exp(x.coords, nan_row), equal_nan=True)
+        assert np.isnan(y[0]).all() and np.array_equal(y[1], x.coords[1])
+        finite = nan_row * [[0.0], [1.0], [1.0]]
+        assert np.array_equal(y[1:], man.exp(x, Tangent(x, finite)).coords[1:])
+
     def test_dist_and_tangent_norm(self):
         for k in range(self.DRAWS):
             man, x, rng = self.draw(k)
@@ -459,6 +510,7 @@ class TestLeanKernelsSameBits:
         with np.errstate(invalid="ignore"):
             for xc, yc in [(e1, e1), (e1, -e1), (past_one, past_one), (past_one, -past_one),
                            (e1, near_antipode / np.linalg.norm(near_antipode)),
+                           # a NaN distance: `transport` raises GeometryError at its guard
                            (e1, nan_entry), (nan_entry, e1), (e1, inf_times_zero)]:
                 x = Point(man, xc)
                 self.assert_sphere_maps(man, x, Point(man, yc), Tangent(x, 1e-10 * e2),
@@ -539,9 +591,10 @@ class TestLeanKernelsSameBits:
                                (x.coords, y.coords, spoil(v.coords), spoil(w.coords))]:
             xp = Point(man, xc)
             self.assert_grassmann_maps(man, xp, Point(man, yc), Tangent(xp, vc), Tangent(xp, wc), a)
-        # NaN stops dgesdd; an inf makes `dist` NaN, so `log` passes its guard and dgesdd stops
+        # NaN stops dgesdd in `dist`; an inf makes `dist` NaN, which fails the cut-locus guard
         got = outcome(lambda: man.log(x, Point(man, spoil(y.coords))))
-        assert got[0] == (np.linalg.LinAlgError, "SVD did not converge")
+        assert got[0] == ((np.linalg.LinAlgError, "SVD did not converge") if np.isnan(bad) else
+                          (GeometryError, "log undefined: distance nan >= injectivity radius 1.5708 of grassmann(5,3)"))
         assert bool(got[1]) == np.isinf(bad)  # inf also warns on the way
 
     def test_linalg_kernels_match_numpy_linalg(self):
@@ -621,6 +674,21 @@ class TestCoordsOwnership:
         assert made.coords[0, 0] == 0.5 ** 0.5
         assert not made.coords.flags.writeable
 
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda o: pickle.loads(pickle.dumps(o))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_readonly_coords(self, clone):
+        man = Oblique(3, 2)
+        rng = np.random.default_rng(0)
+        x = man.random_point(rng)
+        v = man.project_tangent(x, rng.standard_normal(man.shape))
+        for made in (x, v):
+            got = clone(made)
+            assert type(got) is type(made) and got is not made
+            assert np.array_equal(got.coords, made.coords) and not got.coords.flags.writeable
+            assert got.manifold.name == man.name
+        got = clone(v)
+        assert np.array_equal(got.base.coords, x.coords) and not got.base.coords.flags.writeable
+
     def test_readonly_owned_array_is_shared(self):
         man = Oblique(3, 2)
         src = np.full((3, 2), 0.5 ** 0.5)
@@ -698,6 +766,23 @@ def subspace_angles(x, y):
     c = np.linalg.svd(x.T @ y, compute_uv=False)
     s = np.linalg.svd(y - x @ (x.T @ y), compute_uv=False)[::-1]
     return np.where(c ** 2 >= 0.5, np.arcsin(np.minimum(s, 1.0)), np.arccos(np.minimum(c, 1.0)))
+
+
+def test_points_and_tangents_are_immutable():
+    """`_QuadraticForm` caches on the identity of the last point, which holds
+    only while a point cannot change."""
+    man = Oblique(3, 2)
+    rng = np.random.default_rng(0)
+    x = man.random_point(rng)
+    v = man.project_tangent(x, rng.standard_normal(man.shape))
+    for made, names in ((x, ("coords", "manifold")), (v, ("coords", "base", "manifold"))):
+        for name in names + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(made, name, x.coords)
+            with pytest.raises(AttributeError):
+                delattr(made, name)
+        assert made == made and made != copy.copy(made)
+    assert x.manifold is man and v.base is x and v.manifold is man
 
 
 class TestGrassmann:
