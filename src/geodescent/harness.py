@@ -329,9 +329,9 @@ class ExperimentOutcome:
 def write_trace_csv(path: str, result: RunResult):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,f,gradnorm,step_norm,perturbed\n")
-        for row in result.trace.rows:
-            fh.write(f"{row.t},{fmt(row.f)},{fmt(row.gradnorm)},"
-                     f"{fmt(row.step_norm)},{fmt(row.perturbed)}\n")
+        tr = result.trace
+        for t, (f, g, s, p) in enumerate(zip(tr.f, tr.gradnorm, tr.step_norm, tr.perturbed)):
+            fh.write(f"{t},{fmt(f)},{fmt(g)},{fmt(s)},{fmt(bool(p))}\n")
 
 
 def write_summary(path: str, summary: dict):

@@ -426,7 +426,7 @@ class Oblique(Manifold):
         return np.arctan2(s, c), c, u, s
 
     def _guard_rows(self, d_rows: np.ndarray, what: str):
-        bad = np.nonzero(d_rows >= math.pi - 1e-12)[0]
+        bad = np.nonzero(~(d_rows < math.pi - 1e-12))[0]  # a NaN row fails too
         if bad.size:
             raise GeometryError(
                 f"{what} undefined: row {bad[0]} at distance {d_rows[bad[0]]:.6g} >= "

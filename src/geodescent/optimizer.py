@@ -5,8 +5,11 @@ stationarity classifier."""
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,16 +187,62 @@ class TraceRow:
     perturbed: bool
 
 
+class TraceRows(Sequence):
+    """Read-only view of a Trace's columns.  Row objects are built on access,
+    so iterating a long trace holds one row at a time; a slice is a list."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "Trace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n, t = len(self), operator.index(i)
+        if t < 0:
+            t += n
+        if not 0 <= t < n:
+            raise IndexError("trace row index out of range")
+        tr = self._trace
+        return TraceRow(t, tr.f[t], tr.gradnorm[t], tr.step_norm[t], bool(tr.perturbed[t]))
+
+    def __iter__(self):
+        tr = self._trace
+        for t, (f, g, s, p) in enumerate(zip(tr.f, tr.gradnorm, tr.step_norm, tr.perturbed)):
+            yield TraceRow(t, f, g, s, bool(p))
+
+
 @dataclass
 class Trace:
-    """Per-iteration record of one run.
+    """Per-iteration record of one run, one compact column per field.
 
-    Equality/determinism contracts cover the rows; wall_time is informational
-    only.
+    Row t is step t, so there is no t column; `rows` is a read-only view
+    that builds TraceRow objects on access.  Equality/determinism contracts
+    cover the columns; wall_time is informational only.
     """
 
-    rows: list[TraceRow] = field(default_factory=list)
+    f: array = field(default_factory=lambda: array("d"))
+    gradnorm: array = field(default_factory=lambda: array("d"))
+    step_norm: array = field(default_factory=lambda: array("d"))
+    perturbed: array = field(default_factory=lambda: array("b"))
     wall_time: float = 0.0
+
+    def append(self, f: float, gradnorm: float, step_norm: float, perturbed: bool):
+        self.f.append(f)
+        self.gradnorm.append(gradnorm)
+        self.step_norm.append(step_norm)
+        self.perturbed.append(perturbed)
+
+    def __len__(self) -> int:
+        return len(self.f)
+
+    @property
+    def rows(self) -> TraceRows:
+        return TraceRows(self)
 
 
 @dataclass
@@ -222,7 +271,7 @@ class OptState:
 
 
 def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> RunResult:
-    return RunResult(status, x, fx, gnorm, len(trace.rows), trace)
+    return RunResult(status, x, fx, gnorm, len(trace), trace)
 
 
 def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float) -> tuple[Point, float]:
@@ -273,13 +322,11 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
             and fx - obj.value(state.x_tilde) > -thr.f_thres):
         xt = state.x_tilde
         g_out = obj.rgrad(xt)
-        state.trace.rows.append(TraceRow(
-            t=state.t, f=fx, gradnorm=gnorm, step_norm=0.0, perturbed=False))
+        state.trace.append(fx, gnorm, 0.0, False)
         return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
 
     x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta)
-    state.trace.rows.append(TraceRow(
-        t=state.t, f=fx, gradnorm=gnorm, step_norm=eta_bar * gnorm, perturbed=perturbed))
+    state.trace.append(fx, gnorm, eta_bar * gnorm, perturbed)
     state.x = x_next
     state.t += 1
     return state
@@ -318,11 +365,11 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
             status = STATUS_STEP_FAILURE
             break
         if gnorm <= g_tol:
-            trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, 0.0, False))
+            trace.append(fx, gnorm, 0.0, False)
             status = STATUS_FIRST_ORDER
             break
         x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta)
-        trace.rows.append(TraceRow(len(trace.rows), fx, gnorm, eta_bar * gnorm, False))
+        trace.append(fx, gnorm, eta_bar * gnorm, False)
         x = x_next
     else:
         status = STATUS_ITERATION_CAP

@@ -230,7 +230,7 @@ def test_criterion_4_checks_reject_a_run_off_by_one_row():
     thr = practical_thresholds(8.0, 8.0, 1e-1, dim_d=2, eta=0.05)
     rows = run(obj, x0, thr, 10_000, np.random.default_rng(0)).trace.rows
     assert rate_budget_failures(rows, len(rows), thr, f_gap)[2] == []
-    extra = rows + [dataclasses.replace(rows[-1], t=rows[-1].t + 1)]
+    extra = list(rows) + [dataclasses.replace(rows[-1], t=rows[-1].t + 1)]
     assert rate_budget_failures(extra, len(extra), thr, f_gap)[2]
     assert rate_budget_failures(rows[:-1], len(rows) - 1, thr, f_gap)[2]
 

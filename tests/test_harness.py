@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from geodescent.harness import (
     burer_monteiro_instance,
     burer_monteiro_start,
     describe_thresholds,
+    load_config,
     parse_config,
     principal_angles,
     read_matrix,
@@ -315,6 +317,26 @@ class TestDescribeThresholds:
         text = describe_thresholds(cfg)
         assert "mode = theory" in text
         assert "chi = " in text
+
+
+# SHA-256 of the files `geodescent run configs/figure1.cfg --seed 7` writes, as
+# written while the trace still held one row object per step.  Figure 1 runs
+# on sphere(3), so no BLAS matrix product enters these bytes.
+FIGURE1_SEED7_SHA256 = {
+    "trace.csv": "3016c0db2c1621a7c95fee1a7b258313e8dd9824893ba73f6a52423d6debb58d",
+    "summary.txt": "dc80690a2a787e578121fde5121118c637ebc2af65527e1679efe9bd16a3fca8",
+    "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
+}
+
+
+def test_figure1_seed_7_writes_the_same_bytes(tmp_path):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = load_config(os.path.join(root, "configs", "figure1.cfg"))
+    out = run_experiment(cfg, out_dir=str(tmp_path), seed=7)
+    assert out.exit_code == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in FIGURE1_SEED7_SHA256}
+    assert got == FIGURE1_SEED7_SHA256
 
 
 def test_readme_library_example_runs():

@@ -198,6 +198,23 @@ class TestObliqueExamples:
         with pytest.raises(GeometryError, match="row 0"):
             man.log(y, y2)
 
+    def test_nan_row_fails_the_cut_locus_guard(self):
+        """A NaN row distance fails the guard, as in `_check_injectivity`;
+        `dist` returns NaN, as `Sphere.dist` does."""
+        man = Oblique(3, 2)
+        rng = np.random.default_rng(0)
+        x = man.random_point(rng)
+        yc = man.random_point(rng).coords.copy()
+        yc[1, 0] = np.nan
+        y = Point(man, yc)
+        w = man.project_tangent(x, rng.standard_normal(man.shape))
+        for what, call in (("log", lambda: man.log(x, y)),
+                           ("transport", lambda: man.transport(x, y, w))):
+            with pytest.raises(GeometryError, match=rf"^{what} undefined: row 1 at distance nan >= "
+                                                    r"injectivity radius 3\.14159 of the sphere factor$"):
+                call()
+        assert math.isnan(man.dist(x, y))
+
 
 def parent_oblique_exp(x, v):
     """`Oblique.exp` as written before the one-branch kernel: the reference."""

@@ -1,4 +1,7 @@
 import math
+import tracemalloc
+from collections.abc import Sequence
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from geodescent import (
     rgd_baseline,
     run,
 )
+from geodescent.harness import fmt, write_trace_csv
+from geodescent.optimizer import TraceRow
 
 D_FIG = np.array([1.0, -1.0, 4.0])
 
@@ -257,6 +262,85 @@ class TestRun:
             assert (a.t, a.f, a.gradnorm, a.step_norm, a.perturbed) == \
                    (b.t, b.f, b.gradnorm, b.step_norm, b.perturbed)
         assert np.array_equal(r1.final_point.coords, r2.final_point.coords)
+
+
+class TestTrace:
+    STEPS = 20_000
+
+    def long_run(self):
+        """The Figure-1 saddle with a window longer than the cap: one
+        perturbation, then plain steps up to STEPS rows."""
+        obj = fig_objective()
+        thr = practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, eta=0.05, r=1e-3, g_thres=1e-4,
+                                   t_thres=2 * self.STEPS, f_thres=1e-8)
+        result = run(obj, obj.manifold.point([1.0, 0.0, 0.0]), thr, self.STEPS,
+                     np.random.default_rng(7))
+        assert result.status == "iteration-cap" and result.iterations == self.STEPS
+        return result
+
+    @staticmethod
+    def escape_run():
+        obj = fig_objective()
+        return run(obj, obj.manifold.point([1.0, 0.0, 0.0]), fig_thresholds(), 100_000,
+                   np.random.default_rng(7))
+
+    def test_footprint_per_row(self):
+        self.long_run()  # warm-up: first-call allocations and caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = self.long_run()
+            per_row = (tracemalloc.get_traced_memory()[0] - before) / result.iterations
+        finally:
+            tracemalloc.stop()
+        assert per_row <= 40, f"{per_row:.1f} B per trace row"
+
+    def test_iterating_rows_does_not_build_them_all(self):
+        rows = self.long_run().trace.rows
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            count = sum(1 for _ in rows)
+            grown = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert count == self.STEPS
+        assert grown <= 64 * 1024, f"iteration peaked {grown} B above its start"
+
+    def test_row_t_is_its_index(self):
+        obj = fig_objective()
+        baseline = rgd_baseline(obj, obj.manifold.random_point(np.random.default_rng(4)),
+                                eta=0.05, g_tol=1e-6, max_iters=10_000)
+        for result in (self.escape_run(), baseline):
+            rows = result.trace.rows
+            assert len(rows) == result.iterations > 1
+            assert [row.t for row in rows] == list(range(len(rows)))
+            assert all(rows[i].t == i for i in range(len(rows)))
+
+    def test_rows_view(self, tmp_path):
+        result = self.escape_run()
+        trace, rows = result.trace, result.trace.rows
+        n = len(rows)
+        assert isinstance(rows, Sequence) and n == len(trace) == result.iterations
+        assert rows[-1] == rows[n - 1] and rows[-1].t == n - 1
+        assert rows[-n] == rows[0] and rows[0].perturbed  # step 0 kicks off the saddle
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[bad]
+        assert rows[2:5] == [rows[2], rows[3], rows[4]]
+        assert rows[::-1][0] == rows[-1] and rows[5:2] == [] and len(rows[:-1]) == n - 1
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        assert not hasattr(rows, "append")
+        write_trace_csv(str(tmp_path / "trace.csv"), result)
+        header, *lines = (tmp_path / "trace.csv").read_text().splitlines()
+        listed = list(rows)
+        assert len(listed) == len(lines) == n
+        for row, line in zip(listed, lines):
+            assert type(row) is TraceRow and isinstance(row.perturbed, bool)
+            assert line == ",".join(fmt(getattr(row, f.name)) for f in fields(row))
+        assert header == ",".join(f.name for f in fields(TraceRow))
 
 
 class TestRunInvariants:
