@@ -31,9 +31,8 @@ class CapabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeometryInfo:
-    """Curvature bound, injectivity radius and intrinsic dimension."""
+    """Injectivity radius and intrinsic dimension."""
 
-    curvature_bound: float
     injectivity_radius: float
     dimension: int
 
@@ -285,7 +284,7 @@ class Euclidean(Manifold):
         self.n = n
         self.name = f"euclidean({n})"
         self.shape = (n,)
-        self._geometry = GeometryInfo(0.0, math.inf, n)
+        self._geometry = GeometryInfo(math.inf, n)
 
     def feasibility_residual(self, coords):
         return 0.0
@@ -330,7 +329,7 @@ class Sphere(Manifold):
         self.n = n
         self.name = f"sphere({n})"
         self.shape = (n,)
-        self._geometry = GeometryInfo(1.0, math.pi, n - 1)
+        self._geometry = GeometryInfo(math.pi, n - 1)
 
     def feasibility_residual(self, coords):
         return abs(_norm(coords) - 1.0)
@@ -409,8 +408,8 @@ class Oblique(Manifold):
         self.p = p
         self.name = f"oblique({d},{p})"
         self.shape = (d, p)
-        # per-factor curvature 1; injectivity of a product is the factor minimum
-        self._geometry = GeometryInfo(1.0, math.pi, d * (p - 1))
+        # injectivity of a product is the factor minimum
+        self._geometry = GeometryInfo(math.pi, d * (p - 1))
 
     def feasibility_residual(self, coords):
         return float(np.max(np.abs(np.linalg.norm(coords, axis=1) - 1.0)))
@@ -499,7 +498,7 @@ class Grassmann(Manifold):
         self.k = k
         self.name = f"grassmann({n},{k})"
         self.shape = (n, k)
-        self._geometry = GeometryInfo(2.0, math.pi / 2, k * (n - k))
+        self._geometry = GeometryInfo(math.pi / 2, k * (n - k))
 
     def feasibility_residual(self, coords):
         g = coords.T @ coords

@@ -141,13 +141,12 @@ class TestValidation:
             S3.sample_tangent_ball(x, 0.0, np.random.default_rng(0))
 
     def test_geometry_constants(self):
-        assert S3.geometry().curvature_bound == 1.0
         assert S3.geometry().injectivity_radius == math.pi
         assert S3.geometry().dimension == 2
         ob = Oblique(4, 3).geometry()
-        assert (ob.curvature_bound, ob.injectivity_radius, ob.dimension) == (1.0, math.pi, 8)
+        assert (ob.injectivity_radius, ob.dimension) == (math.pi, 8)
         eu = Euclidean(5).geometry()
-        assert (eu.curvature_bound, eu.injectivity_radius, eu.dimension) == (0.0, math.inf, 5)
+        assert (eu.injectivity_radius, eu.dimension) == (math.inf, 5)
 
 
 class TestSampleBall:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from geodescent import (
     Objective,
     Sphere,
     Tangent,
+    classify_stationarity,
     estimate_smoothness,
     hess_vec,
     min_hess_eig,
@@ -30,6 +33,19 @@ def fig_objective():
 
 def saddle_point():
     return Sphere(3).point([1.0, 0.0, 0.0])
+
+
+def baseline_saddle(n, top):
+    """Diagonal quadratic d = [0, 0.5, linspace(1, top, n - 2)] on Sphere(n) at
+    e2, where f = 0.5 and the Hessian spectrum is 2 (d_i - 0.5), i != 1: its
+    smallest eigenvalue is -1, one step below a cluster of n - 2 positive ones."""
+    obj = DiagonalQuadratic(np.concatenate([[0.0, 0.5], np.linspace(1.0, top, n - 2)]))
+    return obj, obj.manifold.point(np.eye(n)[1])
+
+
+def random_symmetric(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return (g + g.T) / 2.0
 
 
 class Constant(Objective):
@@ -287,15 +303,57 @@ class TestMinHessEig:
             m = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
             assert lam == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-6)
 
+    @pytest.mark.parametrize("make", [lambda: KPCA(H5, 3),
+                                      lambda: BurerMonteiro(random_symmetric(6, 12), 3)],
+                             ids=["kpca", "bm"])
+    def test_finite_differences_match_dense_oracle(self, make):
+        obj = make()
+        man = obj.manifold
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            x = man.random_point(rng)
+            op = partial(hess_vec, obj, x)
+            lam, direction = min_hess_eig(obj, x, 1e-8, rng)
+            m = dense_hessian_matrix(man, x, op)
+            assert lam == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-6)
+            assert direction.norm() == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(man.project_tangent(x, direction.coords).coords
+                                  - direction.coords) <= 1e-12
+            rq = float(np.sum(direction.coords * op(direction).coords))
+            assert rq == pytest.approx(lam, abs=1e-6)
+
+    @pytest.mark.parametrize("n, top", [(200, 100.0), (1000, 1000.0)])
+    def test_baseline_saddles(self, n, top):
+        """A saddle whose negative direction sits next to a wide positive
+        cluster, where a power-iteration estimate can stall above zero."""
+        obj, x = baseline_saddle(n, top)
+        gradnorm = obj.rgrad(x).norm()
+        for seed in range(20):
+            lam, _ = min_hess_eig(obj, x, 1e-3, np.random.default_rng(seed))
+            assert lam == pytest.approx(-1.0, abs=1e-3)
+            assert classify_stationarity(gradnorm, lam, 1e-3, 1.0) == "saddle"
+
     def test_nonconvergence_warns(self):
-        obj = fig_objective()
+        obj, x = baseline_saddle(200, 100.0)
         with pytest.warns(RuntimeWarning, match="not settled"):
-            min_hess_eig(obj, saddle_point(), 1e-13, np.random.default_rng(0),
-                         max_iters=2)
+            min_hess_eig(obj, x, 1e-13, np.random.default_rng(0), max_iters=2)
+
+    def test_dimension_cap_is_exact(self):
+        """Two steps span the tangent space of sphere(3): no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, _ = min_hess_eig(fig_objective(), saddle_point(), 1e-13,
+                                  np.random.default_rng(0), max_iters=2)
+        assert lam == pytest.approx(-4.0, abs=1e-12)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError, match="tol"):
             min_hess_eig(fig_objective(), saddle_point(), 0.0, np.random.default_rng(0))
+
+    def test_bad_max_iters(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            min_hess_eig(fig_objective(), saddle_point(), 1e-6, np.random.default_rng(0),
+                         max_iters=0)
 
 
 class TestSmoothness:
