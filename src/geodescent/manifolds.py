@@ -16,6 +16,13 @@ from numpy.linalg import _linalg, _umath_linalg
 
 FEAS_TOL = 1e-10      # feasibility residual allowed on points
 TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
+# A log or transport needs its distance below the injectivity radius by this
+# much.  On a sphere factor, x and y are unit only to FEAS_TOL, so c = x.y
+# may sit 2 FEAS_TOL below cos d: d < pi - m keeps
+# 1 + c >= 1 - cos m - 2 FEAS_TOL ~ m^2 / 2 - 2e-10, which is positive only for
+# m > 2 sqrt(FEAS_TOL) = 2e-5.  At m = 1e-4 it is >= 4.8e-9, so transport's
+# division by 1 + x.y never divides by zero or flips sign.
+CUT_MARGIN = 1e-4
 _F8 = np.dtype(float)
 _TINY = np.finfo(float).tiny  # smallest normal float64, 2.2250738585072014e-308
 
@@ -224,15 +231,20 @@ class Manifold:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         d = self.geometry().dimension
+        g, gn = self._tangent_direction(x, rng)
+        norm = radius * rng.uniform() ** (1.0 / d)
+        return Tangent(x, readonly((norm / gn) * g))
+
+    def _tangent_direction(self, x: Point, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+        """A projected standard normal at x and its norm, redrawn while the
+        norm is at most 1e-12 (probability zero): a uniformly random tangent
+        direction."""
         for _ in range(100):
             g = self.project_tangent(x, rng.standard_normal(self.shape)).coords
             gn = _norm(g)
             if gn > 1e-12:
-                break
-        else:  # pragma: no cover - probability zero
-            raise RuntimeError("failed to draw a nonzero tangent direction")
-        norm = radius * rng.uniform() ** (1.0 / d)
-        return Tangent(x, readonly((norm / gn) * g))
+                return g, gn
+        raise RuntimeError("failed to draw a nonzero tangent direction")  # pragma: no cover
 
     def random_point(self, rng: np.random.Generator) -> Point:
         raise NotImplementedError
@@ -252,8 +264,10 @@ class Manifold:
         self._check_point(y)
 
     def _check_injectivity(self, d: float, what: str):
-        inj = self.geometry().injectivity_radius
-        if not d < inj:  # a NaN distance fails too
+        """The cut-locus rule of every map: `d` must be below the injectivity
+        radius by `CUT_MARGIN`."""
+        inj = self._geometry.injectivity_radius
+        if not d < inj - CUT_MARGIN:  # a NaN distance fails too
             raise GeometryError(
                 f"{what} undefined: distance {d:.6g} >= injectivity radius {inj:.6g} of {self.name}"
             )
@@ -348,37 +362,36 @@ class Sphere(Manifold):
             y = math.cos(th) * x.coords + (math.sin(th) / th) * v.coords
         return Point(self, readonly(y / _norm(y)))
 
+    @staticmethod
+    def _angle(x: np.ndarray, y: np.ndarray):
+        """The angle d from x to y, the cosine c = x.y unclamped, u = y - c' x
+        with c' = c clamped to [-1, 1], and |u|: `Oblique._row_angles` for
+        one row."""
+        c = float(x.dot(y))
+        # `c` first in `max`, so a NaN stays NaN as it does through np.clip
+        cc = min(max(c, -1.0), 1.0)
+        u = y - cc * x
+        s = _norm(u)
+        return math.atan2(s, cc), c, u, s
+
     def log(self, x, y):
         self._check_pair(x, y)
-        # `c` first in `max`, so a NaN stays NaN as it does through np.clip
-        c = min(max(float(x.coords.dot(y.coords)), -1.0), 1.0)
-        u = y.coords - c * x.coords
-        s = _norm(u)
-        d = math.atan2(s, c)
-        if d >= math.pi - 1e-12:
-            raise GeometryError(
-                f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
-            )
+        d, _, u, s = self._angle(x.coords, y.coords)
+        self._check_injectivity(d, "log")
         if s < 1e-300:
             return Tangent(x, readonly(np.zeros_like(x.coords)))
         return Tangent(x, readonly((d / s) * u))
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        c = min(max(float(x.coords.dot(y.coords)), -1.0), 1.0)
-        return math.atan2(_norm(y.coords - c * x.coords), c)
+        return self._angle(x.coords, y.coords)[0]
 
     def transport(self, x, y, w):
         self._check_base(x, w)
         self._check_point(y)
         self._check_point(x)
-        c = float(x.coords.dot(y.coords))
-        cc = min(max(c, -1.0), 1.0)  # the angle as `dist` computes it
-        self._check_injectivity(math.atan2(_norm(y.coords - cc * x.coords), cc), "transport")
-        if c <= -1.0 + 1e-12:
-            raise GeometryError(
-                f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
-            )
+        d, c, _, _ = self._angle(x.coords, y.coords)
+        self._check_injectivity(d, "transport")
         xy = x.coords + y.coords
         out = w.coords - (xy.dot(w.coords) / (1.0 + c)) * xy
         # kill rounding in the normal direction
@@ -424,14 +437,6 @@ class Oblique(Manifold):
         s = _row_norms(u)[:, 0]
         return np.arctan2(s, c), c, u, s
 
-    def _guard_rows(self, d_rows: np.ndarray, what: str):
-        bad = np.nonzero(~(d_rows < math.pi - 1e-12))[0]  # a NaN row fails too
-        if bad.size:
-            raise GeometryError(
-                f"{what} undefined: row {bad[0]} at distance {d_rows[bad[0]]:.6g} >= "
-                f"injectivity radius {math.pi:.6g} of the sphere factor"
-            )
-
     def exp(self, x, v):
         self._check_base(x, v)
         th = _row_norms(v.coords)
@@ -450,7 +455,7 @@ class Oblique(Manifold):
     def log(self, x, y):
         self._check_pair(x, y)
         d_rows, _, u, s = self._row_angles(x.coords, y.coords)
-        self._guard_rows(d_rows, "log")
+        self._check_injectivity(d_rows.max(), "log")  # a NaN row makes the max NaN
         factor = np.where(s > 1e-300, d_rows / np.where(s > 0, s, 1.0), 0.0)
         return Tangent(x, readonly(factor[:, None] * u))
 
@@ -463,7 +468,7 @@ class Oblique(Manifold):
         self._check_base(x, w)
         self._check_pair(x, y)
         d_rows, c, _, _ = self._row_angles(x.coords, y.coords)
-        self._guard_rows(d_rows, "transport")
+        self._check_injectivity(d_rows.max(), "transport")
         xy = x.coords + y.coords
         coef = np.add.reduce(xy * w.coords, axis=1) / (1.0 + c)
         out = w.coords - coef[:, None] * xy

@@ -11,7 +11,6 @@ import numpy as np
 
 from .manifolds import (
     Euclidean,
-    GeometryError,
     Grassmann,
     Manifold,
     Oblique,
@@ -143,13 +142,7 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     s = default_fd_step(x, v) if step is None else float(step)
     if s <= 0:
         raise ValueError(f"step must be positive, got {s}")
-    reach = s * v.norm()
-    inj = man.geometry().injectivity_radius
-    if reach >= inj:
-        raise GeometryError(
-            f"finite-difference geodesic of length {reach:.3g} leaves the "
-            f"injectivity ball (radius {inj:.3g})"
-        )
+    man._check_injectivity(s * v.norm(), "hess_vec")
     x_plus = man.exp(x, Tangent(x, readonly(s * v.coords)))
     x_minus = man.exp(x, Tangent(x, readonly(-s * v.coords)))
     g_plus = man.transport(x_plus, x, obj.rgrad(x_plus))
@@ -159,12 +152,8 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
 
 def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
     """Unit tangent vector at x in a uniformly random direction."""
-    t = man.project_tangent(x, rng.standard_normal(man.shape))
-    n = t.norm()
-    while n < 1e-12:  # pragma: no cover - probability zero
-        t = man.project_tangent(x, rng.standard_normal(man.shape))
-        n = t.norm()
-    return Tangent(x, readonly(t.coords / n))
+    g, gn = man._tangent_direction(x, rng)
+    return Tangent(x, readonly(g / gn))
 
 
 def hess_operator(obj: Objective, x: Point):

@@ -26,6 +26,7 @@ from geodescent import (
     objectives,
 )
 from geodescent import verify as geoverify
+from geodescent.manifolds import CUT_MARGIN
 
 S3 = Sphere(3)
 
@@ -194,8 +195,21 @@ class TestObliqueExamples:
         man = Oblique(2, 3)
         y = man.point(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
         y2 = man.point(np.array([[-1.0, 0, 0], [0, 1.0, 0]]))
-        with pytest.raises(GeometryError, match="row 0"):
+        with pytest.raises(GeometryError, match=r"^log undefined: distance 3\.14159 >= "
+                                                r"injectivity radius 3\.14159 of oblique\(2,3\)$"):
             man.log(y, y2)
+
+    def test_near_antipodal_row_transport_raises(self):
+        """A row whose cosine with x rounds to -1 sits at its factor's cut
+        locus: transport raises instead of dividing by 1 + c = 0."""
+        man = Oblique(2, 3)
+        x = man.point(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
+        row = np.array([-1.0, 1e-9, 0])
+        y = man.point(np.array([row / np.linalg.norm(row), [0, 1.0, 0]]))
+        assert x.coords[0] @ y.coords[0] == -1.0
+        w = man.tangent(x, np.array([[0, 1.0, 0], [1.0, 0, 0]]))
+        with pytest.raises(GeometryError, match=r"^transport undefined: distance 3\.14159 >= "):
+            man.transport(x, y, w)
 
     def test_nan_row_fails_the_cut_locus_guard(self):
         """A NaN row distance fails the guard, as in `_check_injectivity`;
@@ -209,8 +223,8 @@ class TestObliqueExamples:
         w = man.project_tangent(x, rng.standard_normal(man.shape))
         for what, call in (("log", lambda: man.log(x, y)),
                            ("transport", lambda: man.transport(x, y, w))):
-            with pytest.raises(GeometryError, match=rf"^{what} undefined: row 1 at distance nan >= "
-                                                    r"injectivity radius 3\.14159 of the sphere factor$"):
+            with pytest.raises(GeometryError, match=rf"^{what} undefined: distance nan >= "
+                                                    r"injectivity radius 3\.14159 of oblique\(3,2\)$"):
                 call()
         assert math.isnan(man.dist(x, y))
 
@@ -269,9 +283,9 @@ def parent_sphere_log(x, y):
     u = y - c * x
     s = float(np.linalg.norm(u))
     d = math.atan2(s, c)
-    if d >= math.pi - 1e-12:
+    if not d < math.pi - CUT_MARGIN:  # a NaN distance fails the guard too
         raise GeometryError(
-            f"log undefined: points at distance {d:.6g} >= injectivity radius {math.pi:.6g} of the sphere"
+            f"log undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of sphere({x.size})"
         )
     if s < 1e-300:
         return np.zeros_like(x)
@@ -286,15 +300,11 @@ def parent_sphere_dist(x, y):
 
 def parent_sphere_transport(name, x, y, w):
     d = parent_sphere_dist(x, y)
-    if not d < math.pi:  # a NaN distance fails the guard too
+    if not d < math.pi - CUT_MARGIN:  # a NaN distance fails the guard too
         raise GeometryError(
             f"transport undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of {name}"
         )
     c = float(np.dot(x, y))
-    if c <= -1.0 + 1e-12:
-        raise GeometryError(
-            f"transport undefined: points at distance {math.pi:.6g} >= injectivity radius of the sphere"
-        )
     xy = x + y
     out = w - (np.dot(xy, w) / (1.0 + c)) * xy
     return out - np.dot(y, out) * y
@@ -330,7 +340,7 @@ def parent_grassmann_dist(x, y):
 
 def parent_grassmann_log(name, x, y):
     d = parent_grassmann_dist(x, y)
-    if not d < math.pi / 2:  # a NaN distance fails the guard too
+    if not d < math.pi / 2 - CUT_MARGIN:  # a NaN distance fails the guard too
         raise GeometryError(
             f"log undefined: distance {d:.6g} >= injectivity radius {math.pi / 2:.6g} of {name}"
         )
@@ -526,26 +536,27 @@ class TestLeanKernelsSameBits:
         with np.errstate(invalid="ignore"):
             for xc, yc in [(e1, e1), (e1, -e1), (past_one, past_one), (past_one, -past_one),
                            (e1, near_antipode / np.linalg.norm(near_antipode)),
-                           # a NaN distance: `transport` raises GeometryError at its guard
+                           # a NaN distance: `log` and `transport` raise GeometryError at the guard
                            (e1, nan_entry), (nan_entry, e1), (e1, inf_times_zero)]:
                 x = Point(man, xc)
                 self.assert_sphere_maps(man, x, Point(man, yc), Tangent(x, 1e-10 * e2),
                                         Tangent(x, 0.5 * e2), e2)
-            assert np.isnan(man.log(Point(man, e1), Point(man, inf_times_zero)).coords).all()
+            with pytest.raises(GeometryError):
+                man.log(Point(man, e1), Point(man, inf_times_zero))
             assert math.isnan(man.dist(Point(man, e1), Point(man, inf_times_zero)))
 
     def test_sphere_antipodal_messages(self):
         x, y = sphere_point(1, 0, 0), sphere_point(-1, 0, 0)
         z = sphere_point(-1, 1e-13, 0)
         w = S3.tangent(x, [0, 1.0, 0])
-        with pytest.raises(GeometryError, match=r"^log undefined: points at distance 3\.14159 >= "
-                                                r"injectivity radius 3\.14159 of the sphere$"):
+        with pytest.raises(GeometryError, match=r"^log undefined: distance 3\.14159 >= "
+                                                r"injectivity radius 3\.14159 of sphere\(3\)$"):
             S3.log(x, y)
         with pytest.raises(GeometryError, match=r"^transport undefined: distance 3\.14159 >= "
                                                 r"injectivity radius 3\.14159 of sphere\(3\)$"):
             S3.transport(x, y, w)
-        with pytest.raises(GeometryError, match=r"^transport undefined: points at distance 3\.14159 "
-                                                r">= injectivity radius of the sphere$"):
+        with pytest.raises(GeometryError, match=r"^transport undefined: distance 3\.14159 >= "
+                                                r"injectivity radius 3\.14159 of sphere\(3\)$"):
             S3.transport(x, z, w)
 
     @staticmethod
