@@ -100,6 +100,13 @@ def _parse_int(s):
     return int(v)
 
 
+def _parse_finite(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite entry {s!r}")
+    return v
+
+
 def _parse_list(item, s):
     return [item(tok) for tok in s.replace(",", " ").split()]
 
@@ -109,7 +116,7 @@ def _parse_list(item, s):
 _TYPE_PARSERS = {
     "str": str, "int": _parse_int, "float": float,
     "list[str]": partial(_parse_list, str), "list[int]": partial(_parse_list, _parse_int),
-    "list[float]": partial(_parse_list, float),
+    "list[float]": partial(_parse_list, _parse_finite),
 }
 _PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
             for f in fields(ExperimentConfig)}
@@ -220,7 +227,10 @@ def read_matrix(path: str) -> np.ndarray:
     data = tokens[2:]
     if len(data) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(data)}")
-    return np.array([float(t) for t in data]).reshape(rows, cols)
+    m = np.array([float(t) for t in data]).reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{path}: non-finite entry")
+    return m
 
 
 # -- problem construction -----------------------------------------------------
@@ -257,7 +267,7 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
         elif cfg.x0 == "random":
             coords = man.random_point(rng_data).coords
         else:
-            coords = man._as_ambient(_parse_list(float, cfg.x0), "x0 of shape")
+            coords = man._as_ambient(_parse_list(_parse_finite, cfg.x0), "x0 of shape")
         x0 = Point(man, coords)
     elif cfg.experiment == "kpca":
         h = np.diag(cfg.h_diag) if cfg.h_diag is not None else read_matrix(cfg.h_file)
@@ -389,7 +399,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         return ExperimentOutcome(EXIT_CONFIG, out, messages=[f"problem setup failed: {exc}"])
 
     feas = obj.manifold.feasibility_residual(x0.coords)
-    if feas > 1e-8:
+    if not feas <= 1e-8:
         return ExperimentOutcome(
             EXIT_CONFIG, out,
             messages=[f"initial point infeasible: residual {feas:.3e} > 1e-08"])

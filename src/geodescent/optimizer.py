@@ -1,6 +1,7 @@
 """Perturbed Riemannian gradient descent as an explicit state machine, the
-threshold derivation box, a plain gradient-descent baseline and the
-stationarity classifier."""
+threshold derivation box and the stationarity classifier.  The plain
+gradient-descent baseline is the same step with a first-order stop in place
+of the perturbation, driven by the same loop."""
 
 from __future__ import annotations
 
@@ -264,6 +265,8 @@ class OptState:
     t_noise: int = 0
     x_tilde: Point | None = None
     trace: Trace = field(default_factory=Trace)
+    # small-gradient policy: perturb (False) or stop (True, set by rgd_baseline only)
+    _stop: bool = field(default=False, init=False, repr=False)
 
     @classmethod
     def initial(cls, x0: Point, thr: ThresholdSet) -> "OptState":
@@ -291,8 +294,10 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     """One pass of the perturbed-descent loop.
 
     In order: (1) if the gradient is at or below g_thres and the previous
-    perturbation window has fully elapsed, save the iterate, perturb inside
-    the tangent ball of radius r; (2) if exactly t_thres steps have passed
+    perturbation window has fully elapsed, apply the state's small-gradient
+    policy: `perturb` (run) saves the iterate and perturbs inside the tangent
+    ball of radius r; `stop` (rgd_baseline) records the step and terminates
+    at the first-order point; (2) if exactly t_thres steps have passed
     since the last perturbation and f failed to drop by f_thres, terminate
     with the saved iterate; (3) otherwise take a gradient step of geodesic
     length min(eta * ||grad||, injectivity radius); (4) advance t.
@@ -309,6 +314,9 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
 
     perturbed = False
     if gnorm <= thr.g_thres and state.t - state.t_noise > thr.t_thres:
+        if state._stop:
+            state.trace.append(fx, gnorm, 0.0, False)
+            return _finish(STATUS_FIRST_ORDER, x, fx, gnorm, state.trace)
         state.t_noise = state.t
         state.x_tilde = x
         xi = man.sample_tangent_ball(x, thr.r, rng)
@@ -332,11 +340,10 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     return state
 
 
-def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
-        rng: np.random.Generator) -> RunResult:
-    """Iterate prgd_step until termination or the iteration cap."""
+def _drive(state: OptState, thr: ThresholdSet, obj: Objective,
+           rng: np.random.Generator | None, max_iters: int) -> RunResult:
+    """The one loop: iterate prgd_step from `state` to termination or the cap."""
     t0 = time.perf_counter()
-    state = OptState.initial(x0, thr)
     for _ in range(max_iters):
         out = prgd_step(state, thr, obj, rng)
         if isinstance(out, RunResult):
@@ -349,34 +356,25 @@ def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
     return out
 
 
+def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
+        rng: np.random.Generator) -> RunResult:
+    """Iterate prgd_step until termination or the iteration cap."""
+    return _drive(OptState.initial(x0, thr), thr, obj, rng, max_iters)
+
+
 def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
                  max_iters: int) -> RunResult:
-    """Plain Riemannian gradient descent with the same step clamp and no
-    perturbation; stops once the gradient norm reaches g_tol."""
-    man = obj.manifold
-    t0 = time.perf_counter()
-    trace = Trace()
-    x = x0
-    for _ in range(max_iters):
-        fx = obj.value(x)
-        grad = obj.rgrad(x)
-        gnorm = grad.norm()
-        if not (math.isfinite(fx) and math.isfinite(gnorm)):
-            status = STATUS_STEP_FAILURE
-            break
-        if gnorm <= g_tol:
-            trace.append(fx, gnorm, 0.0, False)
-            status = STATUS_FIRST_ORDER
-            break
-        x_next, eta_bar = clamped_step(man, x, grad, gnorm, eta)
-        trace.append(fx, gnorm, eta_bar * gnorm, False)
-        x = x_next
-    else:
-        status = STATUS_ITERATION_CAP
-        fx = obj.value(x)
-        gnorm = obj.rgrad(x).norm()
-    trace.wall_time = time.perf_counter() - t0
-    return _finish(status, x, fx, gnorm, trace)
+    """Plain Riemannian gradient descent: prgd_step with the first-order stop,
+    so the same step clamp and no perturbation; stops once the gradient norm
+    reaches g_tol."""
+    # the stop policy reads only eta, g_thres and t_thres (0: every small
+    # gradient stops the run); the constants it never reads are NaN
+    unused = dict.fromkeys(ThresholdSet.__dataclass_fields__, math.nan)
+    thr = ThresholdSet(**(unused | {"g_thres": g_tol, "eta": eta, "t_thres": 0,
+                                    "mode": "baseline"}))
+    state = OptState.initial(x0, thr)
+    state._stop = True
+    return _drive(state, thr, obj, None, max_iters)
 
 
 def classify_stationarity(gradnorm: float, lambda_min: float, epsilon: float,

@@ -34,6 +34,7 @@ epsilon = 1e-4
 VERIFY_TWO_STEP = "experiment = verify\nseed = 7\nchecks = two-step\n"
 VERIFY_COUPLING = "experiment = verify\nseed = 7\nchecks = coupling\nprobe_steps = 50\n"
 BM_P_ABOVE_DIM_D = "experiment = burer-monteiro\nseed = 7\ndim_d = 3\np = 5\nblock = 2\n"
+NAN_MATRIX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "nan_entry.txt")
 
 
 class TestParseConfig:
@@ -419,12 +420,19 @@ class TestCli:
          "problem setup failed: burer-monteiro needs p <= dim_d, got p = 5 > dim_d = 3"),
         ("thresholds", BM_P_ABOVE_DIM_D, [],
          "error: burer-monteiro needs p <= dim_d, got p = 5 > dim_d = 3"),
+        ("run", MINIMAL_SPHERE + "x0 = nan 0 0\n", [],
+         "problem setup failed: non-finite entry 'nan'"),
+        ("run", f"experiment = kpca\nseed = 7\nk = 1\nh_file = {NAN_MATRIX}\n", [],
+         f"problem setup failed: {NAN_MATRIX}: non-finite entry"),
+        ("run", f"experiment = burer-monteiro\nseed = 7\np = 2\na_file = {NAN_MATRIX}\n", [],
+         f"problem setup failed: {NAN_MATRIX}: non-finite entry"),
     ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
             "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps",
             "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan", "beta-negative", "rho-nan",
             "rho_hat-0", "eta-inf", "r-nan", "g_thres-nan", "f_thres-inf", "f_gap-negative",
             "delta-0", "max_iters-negative", "t_thres-0",
-            "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d"])
+            "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d",
+            "x0-nan", "kpca-h_file-nan", "bm-a_file-nan"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

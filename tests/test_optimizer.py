@@ -50,6 +50,11 @@ class Constant(Objective):
         return np.zeros(self.manifold.shape)
 
 
+class Bad(Constant):
+    def value(self, x):
+        return math.nan
+
+
 class TestDeriveThresholds:
     PARAMS = AssumptionParams(beta=8.0, rho=8.0, epsilon=0.1, delta=0.1,
                               f_gap=2.0, dim_d=2, injectivity=math.pi)
@@ -197,11 +202,6 @@ class TestPrgdStep:
 
     def test_nonfinite_cost_is_step_failure(self):
         man = Sphere(3)
-
-        class Bad(Constant):
-            def value(self, x):
-                return math.nan
-
         thr = fig_thresholds()
         state = OptState.initial(man.point([1.0, 0, 0]), thr)
         out = prgd_step(state, thr, Bad(man), np.random.default_rng(0))
@@ -428,6 +428,23 @@ class TestBenchmarkHooks:
         assert result.status == "second-order-point"
         assert len(calls) == result.iterations > 0
 
+    def test_rgd_baseline_calls_prgd_step_once_per_iteration(self, monkeypatch):
+        import geodescent.optimizer as optimizer
+
+        calls = []
+        original = optimizer.prgd_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "prgd_step", counting)
+        obj = fig_objective()
+        result = rgd_baseline(obj, obj.manifold.random_point(np.random.default_rng(4)),
+                              0.05, 1e-6, 10_000)
+        assert result.status == "first-order-point"
+        assert len(calls) == result.iterations > 1
+
     def test_run_experiment_calls_check_two_step_through_verify(self, monkeypatch, tmp_path):
         import geodescent.verify as geoverify
         from geodescent.harness import parse_config, run_experiment
@@ -472,6 +489,41 @@ class TestBaseline:
         assert r1.iterations == r2.iterations
         assert [(a.f, a.gradnorm) for a in r1.trace.rows] == \
                [(b.f, b.gradnorm) for b in r2.trace.rows]
+
+    @pytest.mark.parametrize("eta, seed, max_iters", [
+        (0.05, 4, 10_000), (0.05, 5, 10_000), (10.0, 6, 50),
+    ], ids=["eta-0.05", "second-seed", "eta-10-to-cap"])
+    def test_is_prgd_up_to_its_stop(self, eta, seed, max_iters):
+        obj = DiagonalQuadratic([1.0, -1.0, 2.0])
+        thr = practical_thresholds(8.0, 8.0, 1e-4, dim_d=2, eta=eta, r=1e-3,
+                                   g_thres=1e-4, t_thres=200, f_thres=1e-8)
+        x0 = obj.manifold.random_point(np.random.default_rng(seed))
+        base = rgd_baseline(obj, x0, thr.eta, thr.g_thres, max_iters)
+        full = run(obj, x0, thr, max_iters, np.random.default_rng(seed))
+        last = len(base.trace) - 1
+        assert last > 0
+        for column in ("f", "gradnorm", "step_norm", "perturbed"):
+            assert getattr(base.trace, column)[:last] == getattr(full.trace, column)[:last]
+        if eta == 10.0:  # every step clamped to the injectivity radius pi
+            assert base.status == full.status == "iteration-cap"
+            assert list(base.trace.step_norm) == pytest.approx([math.pi] * max_iters)
+        else:  # where the baseline stops, PRGD perturbs
+            assert base.status == "first-order-point"
+            assert full.trace.perturbed[last]
+
+    @pytest.mark.parametrize("status, obj, max_iters, iterations", [
+        ("step-failure", Bad(Sphere(3)), 10_000, 0),
+        ("iteration-cap", fig_objective(), 3, 3),
+    ])
+    def test_other_exits(self, status, obj, max_iters, iterations):
+        x0 = obj.manifold.random_point(np.random.default_rng(4))
+        result = rgd_baseline(obj, x0, 0.05, 1e-6, max_iters)
+        assert result.status == status
+        assert result.iterations == len(result.trace) == iterations
+        if status == "iteration-cap":
+            x = result.final_point
+            assert result.final_f == obj.value(x)
+            assert result.final_gradnorm == obj.rgrad(x).norm()
 
 
 class TestClassify:
