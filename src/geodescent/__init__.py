@@ -2,7 +2,6 @@
 descent, plus a numerical verification suite for the supporting geometry."""
 
 from .manifolds import (
-    CapabilityError,
     Euclidean,
     GeometryError,
     GeometryInfo,

@@ -289,6 +289,9 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
         extras["grad0_norm"] = obj.rgrad(x0).norm()
     else:
         raise ValueError(f"not an optimization experiment: {cfg.experiment}")
+    feas = obj.manifold.feasibility_residual(x0.coords)
+    if not feas <= 1e-8:
+        raise ValueError(f"initial point infeasible: residual {feas:.3e} > 1e-08")
     return obj, x0, extras
 
 
@@ -398,12 +401,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     except (ValueError, OSError) as exc:
         return ExperimentOutcome(EXIT_CONFIG, out, messages=[f"problem setup failed: {exc}"])
 
-    feas = obj.manifold.feasibility_residual(x0.coords)
-    if not feas <= 1e-8:
-        return ExperimentOutcome(
-            EXIT_CONFIG, out,
-            messages=[f"initial point infeasible: residual {feas:.3e} > 1e-08"])
-
     try:
         thr, thr_info = _thresholds_for(cfg, obj, x0, rng_smooth)
     except ValueError as exc:
@@ -499,9 +496,10 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
             reports.append(single[name](rng))
         elif name == "descent":
             center = man.random_point(rng)
-            est = estimate_smoothness(obj, center, min(1.0, man.geometry().injectivity_radius / 3),
-                                      20, rng)
-            beta_hat = max(est.beta_hat, 1e-8)
+            # the gradient Lipschitz constant of x^T D x: its Riemannian Hessian
+            # is 2 P (D - f(x) I) P on the sphere and 2 D on flat space
+            spread = np.ptp(diag) if isinstance(man, Sphere) else np.max(np.abs(diag))
+            beta_hat = max(2 * float(spread), 1e-8)
             rep = geoverify.check_descent(obj, (center, 1.0), n, 0.9 / beta_hat, rng)
             rep.details["beta_hat"] = beta_hat
             reports.append(rep)

@@ -31,11 +31,6 @@ class GeometryError(ValueError):
     """A geometric-domain violation, e.g. a log map past the cut locus."""
 
 
-class CapabilityError(RuntimeError):
-    """A check needs an oracle the problem lacks: `verify.check_linearization`
-    raises it for objectives without a closed-form Hessian."""
-
-
 @dataclass(frozen=True)
 class GeometryInfo:
     """Injectivity radius and intrinsic dimension."""

@@ -366,7 +366,12 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
                  max_iters: int) -> RunResult:
     """Plain Riemannian gradient descent: prgd_step with the first-order stop,
     so the same step clamp and no perturbation; stops once the gradient norm
-    reaches g_tol."""
+    reaches g_tol.  Raises ValueError unless eta is finite and positive and
+    g_tol finite and >= 0."""
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be finite and positive, got {eta}")
+    if not 0 <= g_tol < math.inf:
+        raise ValueError(f"g_tol must be finite and >= 0, got {g_tol}")
     # the stop policy reads only eta, g_thres and t_thres (0: every small
     # gradient stops the run); the constants it never reads are NaN
     unused = dict.fromkeys(ThresholdSet.__dataclass_fields__, math.nan)

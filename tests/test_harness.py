@@ -285,6 +285,17 @@ class TestRunExperiment:
         for path in reports:
             assert "passed = true" in path.read_text().splitlines(), path.name
 
+    def test_shipped_verify_config_passes_at_seed_0(self, tmp_path):
+        # the descent audit steps at 0.9/beta with beta = 2 (4 - (-1)) = 10,
+        # the gradient Lipschitz constant of x^T diag(1, -1, 4) x on the sphere
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = load_config(os.path.join(root, "configs", "verify.cfg"))
+        out = run_experiment(cfg, out_dir=str(tmp_path / "v"), seed=0)
+        assert out.exit_code == 0
+        lines = (tmp_path / "v" / "report_descent.txt").read_text().splitlines()
+        assert "passed = true" in lines
+        assert "beta_hat = 10" in lines
+
 
 THRESHOLD_KEYS = ["c_hat", "c_max", "chi", "r", "f_thres", "g_thres", "t_thres", "eta",
                   "gamma", "kappa", "script_F", "script_G", "script_S", "script_T",
@@ -422,6 +433,8 @@ class TestCli:
          "error: burer-monteiro needs p <= dim_d, got p = 5 > dim_d = 3"),
         ("run", MINIMAL_SPHERE + "x0 = nan 0 0\n", [],
          "problem setup failed: non-finite entry 'nan'"),
+        ("thresholds", MINIMAL_SPHERE + "x0 = 1, 1, 0\n", [],
+         "error: initial point infeasible: residual 4.142e-01 > 1e-08"),
         ("run", f"experiment = kpca\nseed = 7\nk = 1\nh_file = {NAN_MATRIX}\n", [],
          f"problem setup failed: {NAN_MATRIX}: non-finite entry"),
         ("run", f"experiment = burer-monteiro\nseed = 7\np = 2\na_file = {NAN_MATRIX}\n", [],
@@ -432,7 +445,7 @@ class TestCli:
             "rho_hat-0", "eta-inf", "r-nan", "g_thres-nan", "f_thres-inf", "f_gap-negative",
             "delta-0", "max_iters-negative", "t_thres-0",
             "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d",
-            "x0-nan", "kpca-h_file-nan", "bm-a_file-nan"])
+            "x0-nan", "thresholds-x0-infeasible", "kpca-h_file-nan", "bm-a_file-nan"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections.abc import Sequence
 from dataclasses import fields
@@ -524,6 +525,27 @@ class TestBaseline:
             x = result.final_point
             assert result.final_f == obj.value(x)
             assert result.final_gradnorm == obj.rgrad(x).norm()
+
+    @pytest.mark.parametrize("eta, g_tol, message", [
+        (-0.05, 1e-6, "eta must be finite and positive, got -0.05"),
+        (0.0, 1e-6, "eta must be finite and positive, got 0.0"),
+        (math.nan, 1e-6, "eta must be finite and positive, got nan"),
+        (math.inf, 1e-6, "eta must be finite and positive, got inf"),
+        (0.05, -1.0, "g_tol must be finite and >= 0, got -1.0"),
+        (0.05, math.nan, "g_tol must be finite and >= 0, got nan"),
+        (0.05, math.inf, "g_tol must be finite and >= 0, got inf"),
+    ], ids=["eta-negative", "eta-0", "eta-nan", "eta-inf", "g_tol-negative", "g_tol-nan",
+            "g_tol-inf"])
+    def test_rejects_bad_step_or_tolerance(self, eta, g_tol, message):
+        obj = fig_objective()
+        x0 = obj.manifold.random_point(np.random.default_rng(4))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            rgd_baseline(obj, x0, eta, g_tol, 10)
+
+    def test_zero_tolerance_runs_to_the_cap(self):
+        obj = fig_objective()
+        x0 = obj.manifold.random_point(np.random.default_rng(4))
+        assert rgd_baseline(obj, x0, 0.05, 0.0, 5).status == "iteration-cap"
 
 
 class TestClassify:

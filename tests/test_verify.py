@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from geodescent import (
-    CapabilityError,
     DiagonalQuadratic,
     Euclidean,
+    Grassmann,
     KPCA,
     Objective,
+    Oblique,
     Sphere,
     Tangent,
     check_descent,
@@ -146,6 +147,16 @@ class TestTransportContraction:
         rep = check_transport_contraction(S3, 400, np.random.default_rng(2), falsify=True)
         assert not rep.passed
 
+    @pytest.mark.parametrize("man", [S3, Oblique(4, 3), Grassmann(5, 2), Euclidean(3)],
+                             ids=lambda m: m.name)
+    def test_shared_pass_rule_linear_decay(self, man):
+        rep = check_transport_contraction(man, 200, np.random.default_rng(0))
+        assert rep.passed
+        assert rep.slope_window == (0.7, 1.3)
+        assert len(rep.details["ratio_per_scale"]) == 4
+        falsified = check_transport_contraction(man, 200, np.random.default_rng(0), falsify=True)
+        assert not falsified.passed
+
 
 class TestHolonomy:
     def test_collinear_transports_compose(self):
@@ -212,12 +223,17 @@ class TestLinearization:
                                   eta=0.05, rng=np.random.default_rng(5), falsify=True)
         assert not rep.passed
 
-    def test_requires_exact_hessian(self):
+    def test_finite_difference_hessian_on_kpca(self):
+        # KPCA has no closed-form Hessian: hess_operator differences gradients
         obj = KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3)
         x = obj.manifold.point(np.eye(5)[:, 1:4])
-        with pytest.raises(CapabilityError):
-            check_linearization(obj, obj.manifold, x, 10, SCALES, 0.05,
-                                np.random.default_rng(0))
+        scales = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        rep = check_linearization(obj, obj.manifold, x, 100, scales, 0.05,
+                                  np.random.default_rng(5))
+        assert rep.passed
+        falsified = check_linearization(obj, obj.manifold, x, 100, scales, 0.05,
+                                        np.random.default_rng(5), falsify=True)
+        assert not falsified.passed
 
 
 class TestGradientTaylor:
