@@ -11,22 +11,32 @@ is at most EXACT_RESIDUAL (as on flat space) there is nothing to fit, and
 the check passes.  Every check has a falsification mode (expected decay
 exponent lowered by one) that must fail, exact cases included, guarding
 against vacuous passes.
+
+The four geometry-only checks draw each scale's samples one at a time, in
+the order a sample-by-sample loop would, and then evaluate them as one
+stack through the manifold maps.  A stack gives each sample the bits it
+gets alone, so the reports do not depend on the stacking.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
-from .manifolds import GeometryError, Manifold, Point, Tangent, _norm, readonly
+from .manifolds import GeometryError, Manifold, Point, Tangent, _norm, _norms, readonly
 from .objectives import Objective, hess_operator, min_hess_eig, unit_tangent
 from .optimizer import ThresholdSet, clamped_step, classify_stationarity
 
 SLOPE_HALF_WIDTH = 0.3
 EXACT_RESIDUAL = 1e-10
+# A stack holds at most this many floats (128 KB), so a scale's samples are
+# evaluated in chunks: an oblique(100,20) verify at 1,000 samples per scale
+# would otherwise hold 1,000 x 2,000 x 8 B = 16 MB per temporary, with about
+# twenty temporaries alive.  Its peak RSS is 38 MB at this bound, as one
+# sample at a time, and 89 MB at 2 ** 19 floats; sphere(3) stacks stay whole.
+STACK_FLOATS = 2 ** 14
 
 
 @dataclass
@@ -56,34 +66,72 @@ def _tangent_of_norm(man, x, norm, rng) -> Tangent:
     return Tangent(x, readonly(norm * u.coords))
 
 
-def _ratio(residual: float, bound: float) -> float:
-    if bound > 1e-300:
-        return residual / bound
-    return 0.0 if residual <= 1e-12 else math.inf
+def _ratio(residual: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """residual / bound per sample; where the bound is at most 1e-300, 0.0 for
+    a residual at most 1e-12 and inf otherwise."""
+    ok = bound > 1e-300
+    return np.where(ok, residual / np.where(ok, bound, 1.0),
+                    np.where(residual <= 1e-12, 0.0, math.inf))
 
 
-def _sweep(n: int, scales, width: int, sample) -> tuple[list[float], list[list[float]]]:
-    """Draw n samples per scale, largest scale first.
+def _draws(rng: np.random.Generator, m: int, shape, *spec) -> list[np.ndarray]:
+    """m samples of the draws `spec` names, taken sample by sample in the
+    order a one-at-a-time loop takes them: None is a standard normal of
+    `shape`, (lo, hi) a uniform, as lo + (hi - lo) * random() (the bits of
+    `rng.uniform`, at a third of its cost).  Returns one stack per entry."""
+    normal, uniform = rng.standard_normal, rng.random
+    spec = [d if d is None else (d[0], d[1] - d[0]) for d in spec]
+    cols = [[] for _ in spec]
+    for _ in range(m):
+        for col, d in zip(cols, spec):
+            col.append(normal(shape) if d is None else d[0] + d[1] * uniform())
+    return [np.array(c) for c in cols]
 
-    sample(s) returns `width` floats, or None for a degenerate draw, which is
-    skipped.  Returns the sorted scales and, for each of the `width` values,
-    its per-scale maxima, each a running max(acc, value) from 0.0 in draw
-    order (so a NaN value never wins).
+
+def _tangents(man: Manifold, x: Point, norm: np.ndarray, g: np.ndarray) -> Tangent:
+    """`_tangent_of_norm` at each of the stacked points x, from its normal
+    draw g: the projected draw over its norm, times `norm`.  A projected draw
+    of norm at most 1e-12 (probability zero) raises, where `unit_tangent`
+    would draw again."""
+    per_sample = (-1,) + (1,) * len(man.shape)
+    g = man.project_tangent(x, g).coords
+    gn = _norms(g, len(man.shape))
+    if not (gn > 1e-12).all():
+        raise RuntimeError("failed to draw a nonzero tangent direction")
+    return Tangent(x, readonly(norm.reshape(per_sample) * (g / gn.reshape(per_sample))))
+
+
+def _one_at_a_time(sample, width: int):
+    """The stacked protocol for a closure that draws and evaluates one sample:
+    sample(s) returns `width` floats, or None for a degenerate draw."""
+    def stacked(s, m):
+        rows = [sample(s) for _ in range(m)]
+        vals = np.array([(math.nan,) * width if r is None else r for r in rows]).reshape(m, width)
+        return (*vals.T, np.array([r is not None for r in rows]))
+    return stacked
+
+
+def _sweep(n: int, scales, width: int, sample, chunk: int) -> tuple[list[float], list[list[float]]]:
+    """Draw n samples per scale, largest scale first, in stacks of at most `chunk`.
+
+    sample(s, m) draws and evaluates the next m samples at scale s, and
+    returns `width` arrays of m values and a mask of the samples to keep (a
+    degenerate draw is skipped).  Returns the sorted scales and, for each
+    value, its per-scale maxima from 0.0, taken with np.fmax, so that a NaN
+    value never wins.
     """
     scales = sorted(scales, reverse=True)
-    per_scale = []
-    for s in scales:
-        draws = []
-        for _ in range(n):
-            vals = sample(s)
-            if vals is not None:
-                draws.append(vals)
-        per_scale.append([reduce(max, col, 0.0) for col in zip(*draws)] or [0.0] * width)
-    return scales, [[w[j] for w in per_scale] for j in range(width)]
+    peaks = np.zeros((width, len(scales)))
+    for j, s in enumerate(scales):
+        for start in range(0, n, chunk):
+            *vals, keep = sample(s, min(chunk, n - start))
+            for v, p in zip(vals, peaks):
+                p[j] = np.fmax.reduce(v[keep], initial=p[j])
+    return scales, peaks.tolist()
 
 
-def _scaling_check(lemma_id: str, n: int, scales, expected: float, falsify: bool,
-                   sample, width: int, summarize) -> VerificationReport:
+def _scaling_check(lemma_id: str, manifold: Manifold, n: int, scales, expected: float,
+                   falsify: bool, sample, width: int, summarize) -> VerificationReport:
     """Sweep `sample` over the scales and judge the decay of value 0, the
     residual, under the module's pass rule.
 
@@ -91,7 +139,8 @@ def _scaling_check(lemma_id: str, n: int, scales, expected: float, falsify: bool
     per-scale maxima of each sampled value to the fitted constant and the
     report's details.
     """
-    scales, values = _sweep(n, scales, width, sample)
+    chunk = max(1, STACK_FLOATS // math.prod(manifold.shape))
+    scales, values = _sweep(n, scales, width, sample, chunk)
     residuals = values[0]
     slope = _fit_slope(scales, residuals)
     constant, details = summarize(*values)
@@ -109,24 +158,42 @@ def _largest_ratio(residual: list[float], ratio: list[float]) -> tuple[float, di
     return max(ratio, default=0.0), {}
 
 
+def _c2_c3(dev: list[float], c2: list[float], c3: list[float]) -> tuple[float, dict]:
+    c2, c3 = max(c2, default=0.0), max(c3, default=0.0)
+    return max(c2, c3), {"c2": c2, "c3": c3}
+
+
+def _ratio_per_scale(res: list[float], ratio: list[float]) -> tuple[float, dict]:
+    return max(ratio, default=0.0), {"ratio_per_scale": ratio}
+
+
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
 def check_two_step(manifold: Manifold, n: int, scales, rng: np.random.Generator,
                    falsify: bool = False) -> VerificationReport:
     """Two-step commutation: moving along y+a at once versus moving along a,
     transporting y and moving again.  The defect is bounded by
     c1 * min(|a|, |y|) * (|a| + |y|)^2, hence decays cubically in the scale.
     """
-    def sample(s):
-        x = manifold.random_point(rng)
-        a = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
-        y = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
+    nd = len(manifold.shape)
+
+    def sample(s, m):
+        gx, ua, ga, uy, gy = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None, (0.5, 1.0), None)
+        x = manifold._point_from(gx)
+        a = _tangents(manifold, x, s * ua, ga)
+        y = _tangents(manifold, x, s * uy, gy)
         z = manifold.exp(x, a)
         p1 = manifold.exp(x, Tangent(x, readonly(a.coords + y.coords)))
         p2 = manifold.exp(z, manifold.transport(x, z, y))
         res = manifold.dist(p1, p2)
-        na, ny = a.norm(), y.norm()
-        return res, _ratio(res, min(na, ny) * (na + ny) ** 2)
+        na, ny = _norms(a.coords, nd), _norms(y.coords, nd)
+        # Python's float ** 2 calls libm pow, which numpy's squaring does not round alike
+        bound = np.minimum(na, ny) * _pow(na + ny, 2.0).astype(float)
+        return res, _ratio(res, bound), np.ones(m, bool)
 
-    return _scaling_check("two-step", n, scales, 3.0, falsify, sample, 2, _largest_ratio)
+    return _scaling_check("two-step", manifold, n, scales, 3.0, falsify, sample, 2,
+                          _largest_ratio)
 
 
 def check_log_bilipschitz(manifold: Manifold, n: int, R_values, rng: np.random.Generator,
@@ -136,40 +203,38 @@ def check_log_bilipschitz(manifold: Manifold, n: int, R_values, rng: np.random.G
     Measures q = |log_x(y) - log_x(z)| / d(y, z); the deviation max(q-1, 1/q-1)
     scales as R^2, with fitted constants c2 (lower side) and c3 (upper side).
     """
-    def sample(R):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
-        z = manifold.exp(x, _tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
+    def sample(R, m):
+        gx, uy, gy, uz, gz = _draws(rng, m, manifold.shape, None, (0.3, 0.5), None, (0.3, 0.5), None)
+        x = manifold._point_from(gx)
+        y = manifold.exp(x, _tangents(manifold, x, R * uy, gy))
+        z = manifold.exp(x, _tangents(manifold, x, R * uz, gz))
         d = manifold.dist(y, z)
-        if d < 1e-12:
-            return None
-        q = _norm(manifold.log(x, y).coords - manifold.log(x, z).coords) / d
-        return max(q - 1.0, 1.0 / q - 1.0, 0.0), (1.0 / q - 1.0) / R ** 2, (q - 1.0) / R ** 2
+        keep = ~(d < 1e-12)  # a degenerate pair is skipped
+        lxy, lxz = manifold.log(x, y).coords, manifold.log(x, z).coords
+        q = np.where(keep, _norms(lxy - lxz, len(manifold.shape)) / np.where(keep, d, 1.0), 1.0)
+        R2 = R ** 2
+        return np.maximum(np.maximum(q - 1.0, 1.0 / q - 1.0), 0.0), (1.0 / q - 1.0) / R2, \
+            (q - 1.0) / R2, keep
 
-    def summarize(dev, c2, c3):
-        c2, c3 = max(c2, default=0.0), max(c3, default=0.0)
-        return max(c2, c3), {"c2": c2, "c3": c3}
-
-    return _scaling_check("log-bilipschitz", n, R_values, 2.0, falsify, sample, 3, summarize)
+    return _scaling_check("log-bilipschitz", manifold, n, R_values, 2.0, falsify, sample, 3,
+                          _c2_c3)
 
 
 def check_transport_contraction(manifold: Manifold, n: int, rng: np.random.Generator,
                                 falsify: bool = False) -> VerificationReport:
     """Endpoint spread of parallel geodesics: d(exp_x(w), exp_y(transport w))
     is at most c4 * d(x, y), hence decays linearly in the base-pair scale."""
-    def sample(s):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        w = _tangent_of_norm(manifold, x, rng.uniform(0.2, 1.0), rng)
+    def sample(s, m):
+        gx, uy, gy, uw, gw = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None, (0.2, 1.0), None)
+        x = manifold._point_from(gx)
+        y = manifold.exp(x, _tangents(manifold, x, s * uy, gy))
+        w = _tangents(manifold, x, uw, gw)
         res = manifold.dist(manifold.exp(x, w),
                             manifold.exp(y, manifold.transport(x, y, w)))
-        return res, _ratio(res, manifold.dist(x, y))
+        return res, _ratio(res, manifold.dist(x, y)), np.ones(m, bool)
 
-    def summarize(res, ratio):
-        return max(ratio, default=0.0), {"ratio_per_scale": ratio}
-
-    return _scaling_check("transport-contraction", n, [0.4, 0.2, 0.1, 0.05], 1.0, falsify,
-                          sample, 2, summarize)
+    return _scaling_check("transport-contraction", manifold, n, [0.4, 0.2, 0.1, 0.05], 1.0,
+                          falsify, sample, 2, _ratio_per_scale)
 
 
 def check_holonomy(manifold: Manifold, n: int, scales, rng: np.random.Generator,
@@ -177,17 +242,23 @@ def check_holonomy(manifold: Manifold, n: int, scales, rng: np.random.Generator,
     """Path dependence of transport around a two-leg detour:
     |T_y->z T_x->y w - T_x->z w| <= c5 d(x,y) d(y,z) |w|, quadratic in the
     triangle scale."""
-    def sample(s):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        z = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        w = unit_tangent(manifold, x, rng)
+    nd = len(manifold.shape)
+
+    def sample(s, m):
+        gx, uy, gy, uz, gz, gw = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None,
+                                        (0.5, 1.0), None, None)
+        x = manifold._point_from(gx)
+        y = manifold.exp(x, _tangents(manifold, x, s * uy, gy))
+        z = manifold.exp(x, _tangents(manifold, x, s * uz, gz))
+        w = _tangents(manifold, x, np.ones(m), gw)  # 1.0 * u is u: `unit_tangent`'s bits
         via = manifold.transport(y, z, manifold.transport(x, y, w))
         direct = manifold.transport(x, z, w)
-        res = _norm(via.coords - direct.coords)
-        return res, _ratio(res, manifold.dist(x, y) * manifold.dist(y, z) * w.norm())
+        res = _norms(via.coords - direct.coords, nd)
+        bound = manifold.dist(x, y) * manifold.dist(y, z) * _norms(w.coords, nd)
+        return res, _ratio(res, bound), np.ones(m, bool)
 
-    return _scaling_check("holonomy", n, scales, 2.0, falsify, sample, 2, _largest_ratio)
+    return _scaling_check("holonomy", manifold, n, scales, 2.0, falsify, sample, 2,
+                          _largest_ratio)
 
 
 def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
@@ -203,7 +274,7 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
     """
     hess = hess_operator(obj, saddle_x)
 
-    def sample(s):
+    def one(s):
         u = manifold.exp(saddle_x, _tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
         w = manifold.exp(saddle_x, _tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
         duw = manifold.dist(u, w)
@@ -216,12 +287,17 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
         pred = lv.coords - eta * hess(lv).coords
         res = _norm(manifold.log(saddle_x, wp).coords - manifold.log(saddle_x, up).coords - pred)
         theta = duw + manifold.dist(u, saddle_x) + manifold.dist(w, saddle_x)
-        return _ratio(res, duw * theta), res
+        return res, duw * theta
+
+    def sample(s, m):
+        res, bound, keep = _one_at_a_time(one, 2)(s, m)
+        return _ratio(res, bound), res, keep
 
     def summarize(normalized, raw):
         return max(normalized, default=0.0), {"max_raw_residual_per_scale": raw}
 
-    return _scaling_check("linearization", n, scales, 1.0, falsify, sample, 2, summarize)
+    return _scaling_check("linearization", manifold, n, scales, 1.0, falsify, sample, 2,
+                          summarize)
 
 
 def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
@@ -229,7 +305,7 @@ def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
     """First-order Taylor expansion of the transported gradient field:
     the defect against grad f(x) + H(x)[log_x(z)] decays quadratically in
     d(x, z); the empirical half-Hessian-Lipschitz constant is reported."""
-    def sample(s):
+    def one(s):
         x = manifold.random_point(rng)
         z = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
         d = manifold.dist(x, z)
@@ -239,13 +315,18 @@ def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
         hterm = hess_operator(obj, x)(lg)
         res = _norm(manifold.transport(z, x, obj.rgrad(z)).coords
                     - obj.rgrad(x).coords - hterm.coords)
-        return res, _ratio(res, 0.5 * d ** 2)
+        return res, 0.5 * d ** 2
+
+    def sample(s, m):
+        res, bound, keep = _one_at_a_time(one, 2)(s, m)
+        return res, _ratio(res, bound), keep
 
     def summarize(res, ratio):
         rho = max(ratio, default=0.0)
         return rho, {"empirical_rho": rho}
 
-    return _scaling_check("gradient-taylor", n, scales, 2.0, falsify, sample, 2, summarize)
+    return _scaling_check("gradient-taylor", manifold, n, scales, 2.0, falsify, sample, 2,
+                          summarize)
 
 
 def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: float,

@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -952,3 +953,168 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("man", [Sphere(3), Euclidean(3), Oblique(2, 3), Grassmann(3, 1)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_constructors_reject_non_finite_coords(man, bad):
+    rng = np.random.default_rng(0)
+    x = man.random_point(rng)
+    coords = x.coords.copy()
+    coords.flat[-1] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(man.name)}: point has a non-finite entry$"):
+        man.point(coords)
+    t = man.project_tangent(x, rng.standard_normal(man.shape)).coords.copy()
+    t.flat[0] = bad
+    with pytest.raises(ValueError, match=rf"^{re.escape(man.name)}: tangent has a non-finite entry$"):
+        man.tangent(x, t)
+
+
+def test_non_finite_examples_are_rejected():
+    x = S3.point([1.0, 0.0, 0.0])
+    for call in (lambda: S3.point([np.nan, 0, 0]), lambda: Euclidean(3).point([np.inf, 0, 0]),
+                 lambda: S3.tangent(x, [0, np.nan, 0]), lambda: S3.tangent(x, [0, np.inf, 0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+STACK_MANIFOLDS = [Sphere(2), Sphere(3), Sphere(50), Euclidean(3), Oblique(1, 2), Oblique(4, 3),
+                   Oblique(100, 20), Grassmann(4, 1), Grassmann(5, 2), Grassmann(5, 3)]
+
+
+def stack(man, items):
+    return np.stack([getattr(i, "coords", i) for i in items])
+
+
+class TestStacks:
+    """A stack of samples gives each sample the bits of a single-point call."""
+
+    @staticmethod
+    def samples(man, rng, m=24):
+        """Points, tangents of every scale from zero through below 1e-9 to
+        near the injectivity radius, second points, and ambient draws."""
+        inj = min(man.geometry().injectivity_radius, 3.0)
+        norms = [0.0, 1e-300, 1e-12, 5e-10, 1e-9, 1e-6, 0.3, 1.0, inj - 2e-4]
+        xs = [man.random_point(rng) for _ in range(m)]
+        vs = [scaled_tangent(man, x, norms[i % len(norms)], rng) if norms[i % len(norms)]
+              else Tangent(x, np.zeros(man.shape)) for i, x in enumerate(xs)]
+        ys = [man.exp(x, v) if i % 3 else man.exp(x, scaled_tangent(man, x, 0.7 * inj, rng))
+              for i, (x, v) in enumerate(zip(xs, vs))]
+        ws = [scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng) for x in xs]
+        return xs, vs, ys, ws, [rng.standard_normal(man.shape) for _ in xs]
+
+    @staticmethod
+    def assert_stacked_maps(man, xs, vs, ys, ws, amb):
+        X = Point(man, stack(man, xs))
+        V, W = Tangent(X, stack(man, vs)), Tangent(X, stack(man, ws))
+        Y = Point(man, stack(man, ys))
+        got = {"exp": man.exp(X, V).coords, "log": man.log(X, Y).coords, "dist": man.dist(X, Y),
+               "transport": man.transport(X, Y, W).coords,
+               "project_tangent": man.project_tangent(X, stack(man, amb)).coords}
+        assert got["dist"].shape == (len(xs),)
+        for i, (x, v, y, w, a) in enumerate(zip(xs, vs, ys, ws, amb)):
+            want = {"exp": man.exp(x, v).coords, "log": man.log(x, y).coords, "dist": man.dist(x, y),
+                    "transport": man.transport(x, y, w).coords,
+                    "project_tangent": man.project_tangent(x, a).coords}
+            for name in want:
+                assert np.array_equal(bits(got[name][i]), bits(want[name])), (man.name, name, i)
+
+    @pytest.mark.parametrize("man", STACK_MANIFOLDS, ids=lambda m: m.name)
+    def test_every_map(self, man):
+        rng = np.random.default_rng(len(man.name))
+        with np.errstate(under="ignore"):
+            self.assert_stacked_maps(man, *self.samples(man, rng, 8 if man.shape == (100, 20) else 24))
+
+    @pytest.mark.parametrize("man", STACK_MANIFOLDS, ids=lambda m: m.name)
+    def test_random_points_from_normal_draws(self, man):
+        g = np.random.default_rng(1).standard_normal((6,) + man.shape)
+        one_by_one = np.random.default_rng(1)
+        got = man._point_from(g).coords
+        for i in range(len(g)):
+            assert np.array_equal(bits(got[i]), bits(man.random_point(one_by_one).coords))
+
+    @pytest.mark.parametrize("man", [m for m in STACK_MANIFOLDS if not isinstance(m, Euclidean)],
+                             ids=lambda m: m.name)
+    def test_a_stack_with_one_pair_past_the_margin_raises(self, man):
+        """One pair within `CUT_MARGIN` of the cut locus makes the whole stack
+        raise, as that pair raises alone; just outside the margin it does not."""
+        rng = np.random.default_rng(2)
+        xs = [man.random_point(rng) for _ in range(5)]
+        inj = man.geometry().injectivity_radius
+        for gap, raises in ((0.5 * CUT_MARGIN, True), (2.0 * CUT_MARGIN, False)):
+            ys = [man.exp(x, scaled_tangent(man, x, 0.5, rng)) for x in xs]
+            # every row of an oblique point at the same distance: the largest row angle is inj - gap
+            row = math.sqrt(man.shape[0]) if isinstance(man, Oblique) else 1.0
+            far = man.exp(xs[2], scaled_tangent_rows(man, xs[2], (inj - gap) * row, rng))
+            assert (man.dist(xs[2], far) / row >= inj - CUT_MARGIN) == raises
+            ys[2] = far
+            X, Y = Point(man, stack(man, xs)), Point(man, stack(man, ys))
+            W = Tangent(X, stack(man, [scaled_tangent(man, x, 0.3, rng) for x in xs]))
+            for call in (lambda: man.log(X, Y), lambda: man.transport(X, Y, W),
+                         lambda: man.log(xs[2], far)):
+                if raises:
+                    with pytest.raises(GeometryError, match="undefined: distance"):
+                        call()
+                else:
+                    call()
+
+    @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (7, 3)])
+    def test_grassmann_pairs_with_a_zero_principal_angle(self, shape):
+        """Subspaces sharing a direction: transport drops that direction per
+        sample, and a pair sharing every direction returns w as is."""
+        man = Grassmann(*shape)
+        n, k = shape
+        rng = np.random.default_rng(k)
+        xs, ys = [], []
+        for i in range(6):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            theta = rng.uniform(0.1, 1.0, k) * (np.arange(k) > 0)  # first angle 0
+            if i == 5:
+                theta[:] = 0.0  # the same subspace, another basis
+            xs.append(Point(man, q[:, :k]))
+            away = np.concatenate([np.zeros((n, 1)), q[:, k:2 * k - 1]], axis=1)
+            y = q[:, :k] * np.cos(theta) + away * np.sin(theta)
+            ys.append(Point(man, manifolds._qr_sign_fixed(y @ np.linalg.qr(rng.standard_normal((k, k)))[0])))
+        ws = [scaled_tangent(man, x, 0.5, rng) for x in xs]
+        kept = [(np.linalg.svd(man.log(x, y).coords, compute_uv=False) > 1e-14).sum()
+                for x, y in zip(xs, ys)]
+        assert kept == [k - 1] * 5 + [0]
+        assert np.array_equal(man.transport(xs[5], ys[5], ws[5]).coords, ws[5].coords)
+        self.assert_stacked_maps(man, xs, ws, ys, ws, [rng.standard_normal(shape) for _ in xs])
+
+
+def scaled_tangent_rows(man, x, norm, rng):
+    """A tangent of total norm `norm`; on the oblique manifold, with every row
+    of norm norm / sqrt(d)."""
+    if not isinstance(man, Oblique):
+        return scaled_tangent(man, x, norm, rng)
+    return oblique_tangent(man, x, np.full(man.d, norm / math.sqrt(man.d)), rng)
+
+
+def test_host_facts_the_stacked_bodies_rely_on():
+    """The stacked bodies reproduce the scalar ones only while these hold.  A
+    numpy or CPU change that breaks one should fail here, not shift report
+    bytes: np.vecdot rounds like ndarray.dot (both BLAS ddot), numpy's cos
+    and sin round like libm's, and np.arctan2 and squaring do not round like
+    libm's atan2 and pow everywhere, which is why the stacked paths call libm
+    for those."""
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 20):
+        a, b = rng.standard_normal((2, 20000, n))
+        assert np.array_equal(bits(np.vecdot(a, b)), bits([p.dot(q) for p, q in zip(a, b)]))
+    t = rng.uniform(0.0, 4.0, 20000)
+    assert np.array_equal(bits(np.cos(t)), bits([math.cos(v) for v in t]))
+    assert np.array_equal(bits(np.sin(t)), bits([math.sin(v) for v in t]))
+    s, c = rng.random(20000), rng.uniform(-1.0, 1.0, 20000)
+    libm = bits([math.atan2(p, q) for p, q in zip(s, c)])
+    assert np.array_equal(bits(manifolds._atan2(s, c).astype(float)), libm)
+    assert not np.array_equal(bits(np.arctan2(s, c)), libm)
+    x = rng.uniform(0.0, 3.0, 200000)
+    libm = bits([v ** 2 for v in x])
+    assert np.array_equal(bits(geoverify._pow(x, 2.0).astype(float)), libm)
+    assert not np.array_equal(bits(x ** 2), libm)

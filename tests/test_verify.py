@@ -10,6 +10,7 @@ from geodescent import (
     KPCA,
     Objective,
     Oblique,
+    Point,
     Sphere,
     Tangent,
     check_descent,
@@ -23,7 +24,10 @@ from geodescent import (
     estimate_smoothness,
     practical_thresholds,
 )
+from geodescent import verify as geoverify
 from geodescent.verify import render_report
+
+import oracles
 
 S3 = Sphere(3)
 SCALES = [0.2, 0.1, 0.05, 0.025]
@@ -346,3 +350,81 @@ def test_render_report_contains_table():
     assert "fitted_slope" in text
     assert "scale max_residual" in text
     assert len(text.strip().splitlines()) >= 6 + len(SCALES)
+
+
+STACKED = {"two-step": lambda man, n, rng: check_two_step(man, n, SCALES, rng),
+           "log-bilipschitz": lambda man, n, rng: check_log_bilipschitz(man, n, SCALES, rng),
+           "transport-contraction": lambda man, n, rng: check_transport_contraction(man, n, rng),
+           "holonomy": lambda man, n, rng: check_holonomy(man, n, SCALES, rng)}
+
+
+@pytest.mark.parametrize("man, seed", [(S3, 0), (S3, 7), (Oblique(4, 3), 0), (Grassmann(5, 2), 0),
+                                       (Euclidean(3), 0)], ids=lambda a: getattr(a, "name", a))
+@pytest.mark.parametrize("lemma", list(STACKED))
+def test_stacked_check_renders_the_one_at_a_time_report(lemma, man, seed):
+    """Drawn sample by sample and evaluated as a stack, each geometry check
+    gives the bytes of the same samples drawn and evaluated one at a time."""
+    rep = STACKED[lemma](man, 150, np.random.default_rng(seed))
+    ref = oracles.reference_report(lemma, man, 150, rep.scales, np.random.default_rng(seed))
+    assert render_report(rep) == render_report(ref)
+    if man.name != "euclidean(3)":  # flat space's defects are exactly 0
+        assert min(rep.max_residual_per_scale) > 0.0
+
+
+def test_chunked_stacks_give_the_unchunked_report(monkeypatch):
+    """A scale's samples split into stacks of 2, 2 and 1 give the bytes of one
+    stack of 5."""
+    whole = {lemma: render_report(check(S3, 5, np.random.default_rng(3)))
+             for lemma, check in STACKED.items()}
+    monkeypatch.setattr(geoverify, "STACK_FLOATS", 7)  # two sphere(3) samples
+    calls = []
+    sweep = geoverify._sweep
+
+    def spy(n, scales, width, sample, chunk):
+        calls.append(chunk)
+        return sweep(n, scales, width, sample, chunk)
+
+    monkeypatch.setattr(geoverify, "_sweep", spy)
+    for lemma, check in STACKED.items():
+        assert render_report(check(S3, 5, np.random.default_rng(3))) == whole[lemma]
+    assert calls == [2] * len(STACKED)
+
+
+def test_sweep_maxima_skip_nan_and_degenerate_draws():
+    """The per-scale maxima are those of a running max(acc, value) from 0.0:
+    a NaN never wins, a skipped draw counts for nothing, and a value that is
+    negative throughout reads 0.0."""
+    draws = [(0.5, -1.0, -1.0), None, (math.nan, -2.0, -2.0), (0.25, math.nan, math.nan),
+             (2.0, math.inf, -0.5), (math.nan, -3.0, -3.0), None, (-1.0, -0.5, -4.0)] * 3
+
+    def one_at_a_time():
+        it = iter(draws)
+        return lambda s: next(it)
+
+    sample = geoverify._one_at_a_time(one_at_a_time(), 3)
+    scales, got = geoverify._sweep(8, [0.1, 0.3, 0.2], 3, sample, 3)  # stacks of 3, 3 and 2
+    assert scales == [0.3, 0.2, 0.1]
+    assert got == oracles.reference_maxima(8, [0.1, 0.3, 0.2], 3, one_at_a_time())
+    assert got == [[2.0] * 3, [math.inf] * 3, [0.0] * 3]
+
+
+def test_a_vanishing_projected_draw_raises():
+    """One at a time, a projected normal of norm at most 1e-12 is drawn again;
+    in a stack (probability zero) it raises."""
+    x = Point(S3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    norm = np.array([1.0, 0.5])
+    with pytest.raises(RuntimeError, match="nonzero tangent direction"):
+        geoverify._tangents(S3, x, norm, np.array([[0.0, 1.0, 0.0], [0.0, 1e-13, 0.0]]))
+    got = geoverify._tangents(S3, x, norm, np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]))
+    assert np.array_equal(got.coords, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.0]])
+
+
+def test_draws_keep_the_one_at_a_time_order():
+    """`_draws` takes each sample's draws in turn, and its uniforms have the
+    bits of `rng.uniform`."""
+    a, b = np.random.default_rng(9), np.random.default_rng(9)
+    gx, u, g = geoverify._draws(a, 50, (2, 3), None, (0.3, 0.5), None)
+    for i in range(50):
+        assert np.array_equal(gx[i], b.standard_normal((2, 3)))
+        assert u[i] == b.uniform(0.3, 0.5)
+        assert np.array_equal(g[i], b.standard_normal((2, 3)))
