@@ -31,6 +31,13 @@ class Objective:
     the tangent projection of the ambient gradient.  A subclass with a closed
     form for the Riemannian Hessian-vector product defines `exact_hess(x, v)`;
     where it stays None, callers fall back to finite differences.
+
+    The checks in `verify` call `value`, `ambient_grad` and `exact_hess` on a
+    stack of points (see `manifolds`).  A `value` or `ambient_grad` written
+    for one point, which returns other than one result per sample of a
+    stack, is called at each sample instead; an `exact_hess` must take a
+    stack.  The shipped objectives take stacks, and every sample gets the
+    bits of its single-point call.
     """
 
     manifold: Manifold
@@ -43,7 +50,19 @@ class Objective:
         raise NotImplementedError
 
     def rgrad(self, x: Point) -> Tangent:
-        return self.manifold.project_tangent(x, self.ambient_grad(x))
+        g = (self.ambient_grad(x) if x.coords.ndim == len(self.manifold.shape)
+             else _stacked(self.ambient_grad, x, x.coords.shape))
+        return self.manifold.project_tangent(x, g)
+
+
+def _stacked(f, x: Point, shape: tuple):
+    """f(x) for a stack of points x, where f returns an array of `shape`.  An
+    f written for one point returns anything else on a stack, and is called
+    at each sample instead."""
+    out = f(x)
+    if np.shape(out) == shape:
+        return out
+    return np.array([f(Point(x.manifold, c)) for c in x.coords])
 
 
 class DiagonalQuadratic(Objective):
@@ -65,6 +84,8 @@ class DiagonalQuadratic(Objective):
             raise ValueError(f"diagonal of size {self.diag.size} does not match {self.manifold.name}")
 
     def value(self, x):
+        if x.coords.ndim > 1:  # np.vecdot rounds like `@` (both BLAS ddot)
+            return np.vecdot(x.coords, self.diag * x.coords)
         return float(x.coords @ (self.diag * x.coords))
 
     def ambient_grad(self, x):
@@ -74,6 +95,8 @@ class DiagonalQuadratic(Objective):
         if isinstance(self.manifold, Sphere):
             pv = self.manifold.project_tangent(x, v.coords).coords
             fx = self.value(x)
+            if pv.ndim > 1:
+                fx = fx[:, None]
             w = 2.0 * (self.diag * pv - fx * pv)
             return self.manifold.project_tangent(x, w)
         return Tangent(x, readonly(2.0 * self.diag * v.coords))
@@ -94,6 +117,9 @@ class _QuadraticForm(Objective):
         self._last = (None, None)  # (point, M @ point.coords), replaced as one
 
     def value(self, x):
+        if x.coords.ndim > 2:  # a stack: one pairwise sum per sample, as over one array
+            prod = x.coords * self.ambient_grad(x)
+            return 0.5 * np.add.reduce(prod.reshape(len(prod), -1), axis=-1)
         return 0.5 * float(np.add.reduce(x.coords * self.ambient_grad(x), axis=None))
 
     def ambient_grad(self, x):
@@ -133,10 +159,15 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     Transports the gradients at exp(x, +-s v) back to x along the geodesic and
     differences them:  [G(+s) - G(-s)] / (2 s), projected onto the tangent
     space at x.  Exact-Hessian objectives are still differenced here; use
-    `Objective.exact_hess` for the closed form.
+    `Objective.exact_hess` for the closed form.  A stack is differenced one
+    sample at a time.
     """
     man = obj.manifold
     man._check_base(x, v)
+    if v.coords.ndim > len(man.shape):
+        points = [Point(man, c) for c in x.coords]
+        return Tangent(x, readonly(np.array(
+            [hess_vec(obj, p, Tangent(p, c), step).coords for p, c in zip(points, v.coords)])))
     if not v.coords.any():
         return Tangent(x, readonly(np.zeros_like(v.coords)))
     s = default_fd_step(x, v) if step is None else float(step)

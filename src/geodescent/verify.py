@@ -12,10 +12,13 @@ the check passes.  Every check has a falsification mode (expected decay
 exponent lowered by one) that must fail, exact cases included, guarding
 against vacuous passes.
 
-The four geometry-only checks draw each scale's samples one at a time, in
-the order a sample-by-sample loop would, and then evaluate them as one
-stack through the manifold maps.  A stack gives each sample the bits it
-gets alone, so the reports do not depend on the stacking.
+All six scaling checks and the descent audit draw each scale's samples one
+at a time, in the order a sample-by-sample loop would, and then evaluate
+them as one stack through the manifold maps and the objective.  A stack
+gives each sample the bits it gets alone, so the reports do not depend on
+the stacking.  A NaN residual reads as an infinite ratio to its bound, so
+every check whose constant is a largest ratio fails on it, and descent
+counts a violation that is not finite.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifolds import GeometryError, Manifold, Point, Tangent, _norm, _norms, readonly
-from .objectives import Objective, hess_operator, min_hess_eig, unit_tangent
+from .objectives import Objective, _stacked, hess_operator, min_hess_eig
 from .optimizer import ThresholdSet, clamped_step, classify_stationarity
 
 SLOPE_HALF_WIDTH = 0.3
@@ -61,15 +64,11 @@ def _fit_slope(scales, residuals) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _tangent_of_norm(man, x, norm, rng) -> Tangent:
-    u = unit_tangent(man, x, rng)
-    return Tangent(x, readonly(norm * u.coords))
-
-
 def _ratio(residual: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """residual / bound per sample; where the bound is at most 1e-300, 0.0 for
-    a residual at most 1e-12 and inf otherwise."""
-    ok = bound > 1e-300
+    """residual / bound per sample; inf for a NaN residual, which `_sweep`
+    would otherwise pass over; where the bound is at most 1e-300, 0.0 for a
+    residual at most 1e-12 and inf otherwise."""
+    ok = (bound > 1e-300) & ~np.isnan(residual)
     return np.where(ok, residual / np.where(ok, bound, 1.0),
                     np.where(residual <= 1e-12, 0.0, math.inf))
 
@@ -88,27 +87,33 @@ def _draws(rng: np.random.Generator, m: int, shape, *spec) -> list[np.ndarray]:
     return [np.array(c) for c in cols]
 
 
-def _tangents(man: Manifold, x: Point, norm: np.ndarray, g: np.ndarray) -> Tangent:
-    """`_tangent_of_norm` at each of the stacked points x, from its normal
-    draw g: the projected draw over its norm, times `norm`.  A projected draw
-    of norm at most 1e-12 (probability zero) raises, where `unit_tangent`
-    would draw again."""
-    per_sample = (-1,) + (1,) * len(man.shape)
+def _directions(man: Manifold, x: Point, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`Manifold._tangent_direction` at each of the stacked points x, from its
+    normal draw g: the projected draw and its norm, shaped to scale a sample.
+    A projected draw of norm at most 1e-12 (probability zero) raises, where
+    `_tangent_direction` would draw again."""
     g = man.project_tangent(x, g).coords
     gn = _norms(g, len(man.shape))
     if not (gn > 1e-12).all():
         raise RuntimeError("failed to draw a nonzero tangent direction")
-    return Tangent(x, readonly(norm.reshape(per_sample) * (g / gn.reshape(per_sample))))
+    return g, gn.reshape((-1,) + (1,) * len(man.shape))
 
 
-def _one_at_a_time(sample, width: int):
-    """The stacked protocol for a closure that draws and evaluates one sample:
-    sample(s) returns `width` floats, or None for a degenerate draw."""
-    def stacked(s, m):
-        rows = [sample(s) for _ in range(m)]
-        vals = np.array([(math.nan,) * width if r is None else r for r in rows]).reshape(m, width)
-        return (*vals.T, np.array([r is not None for r in rows]))
-    return stacked
+def _tangents(man: Manifold, x: Point, norm: np.ndarray, g: np.ndarray) -> Tangent:
+    """`norm` times `unit_tangent` at each of the stacked points x, from its
+    normal draw g."""
+    g, gn = _directions(man, x, g)
+    return Tangent(x, readonly(norm.reshape(gn.shape) * (g / gn)))
+
+
+def _repeat(x: Point, m: int) -> Point:
+    """A stack of m copies of x."""
+    return Point(x.manifold, np.broadcast_to(x.coords, (m,) + x.coords.shape))
+
+
+def _chunk(manifold: Manifold) -> int:
+    """Samples per stack: at most `STACK_FLOATS` floats, and at least one sample."""
+    return max(1, STACK_FLOATS // math.prod(manifold.shape))
 
 
 def _sweep(n: int, scales, width: int, sample, chunk: int) -> tuple[list[float], list[list[float]]]:
@@ -139,8 +144,7 @@ def _scaling_check(lemma_id: str, manifold: Manifold, n: int, scales, expected: 
     per-scale maxima of each sampled value to the fitted constant and the
     report's details.
     """
-    chunk = max(1, STACK_FLOATS // math.prod(manifold.shape))
-    scales, values = _sweep(n, scales, width, sample, chunk)
+    scales, values = _sweep(n, scales, width, sample, _chunk(manifold))
     residuals = values[0]
     slope = _fit_slope(scales, residuals)
     constant, details = summarize(*values)
@@ -165,6 +169,15 @@ def _c2_c3(dev: list[float], c2: list[float], c3: list[float]) -> tuple[float, d
 
 def _ratio_per_scale(res: list[float], ratio: list[float]) -> tuple[float, dict]:
     return max(ratio, default=0.0), {"ratio_per_scale": ratio}
+
+
+def _with_raw(normalized: list[float], raw: list[float]) -> tuple[float, dict]:
+    return max(normalized, default=0.0), {"max_raw_residual_per_scale": raw}
+
+
+def _empirical_rho(res: list[float], ratio: list[float]) -> tuple[float, dict]:
+    rho = max(ratio, default=0.0)
+    return rho, {"empirical_rho": rho}
 
 
 _pow = np.frompyfunc(math.pow, 2, 1)
@@ -271,33 +284,31 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
     log_x(w) - log_x(u) is bounded by C d(u,w) (d(u,w) + d(u,x) + d(w,x)).
     The per-scale worst normalized residual (residual over that bound
     expression) decays linearly in s.  H(x) comes from `hess_operator`.
-    """
-    hess = hess_operator(obj, saddle_x)
 
-    def one(s):
-        u = manifold.exp(saddle_x, _tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
-        w = manifold.exp(saddle_x, _tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
-        duw = manifold.dist(u, w)
-        if duw < 1e-12:
-            return None
-        up = manifold.exp(u, Tangent(u, readonly(-eta * obj.rgrad(u).coords)))
-        wp = manifold.exp(w, Tangent(w, readonly(-eta * obj.rgrad(w).coords)))
-        lv = Tangent(saddle_x, readonly(manifold.log(saddle_x, w).coords
-                                        - manifold.log(saddle_x, u).coords))
-        pred = lv.coords - eta * hess(lv).coords
-        res = _norm(manifold.log(saddle_x, wp).coords - manifold.log(saddle_x, up).coords - pred)
-        theta = duw + manifold.dist(u, saddle_x) + manifold.dist(w, saddle_x)
-        return res, duw * theta
+    On an objective without a closed-form Hessian, scales that span only one
+    decade barely resolve that decay, so pass or fail there is decided by
+    the seed: on KPCA(diag(0, 1, 2, 3, 4), 3) at its stationary start, with
+    100 samples at scales 0.2 ... 0.025, seeds 0-9 fit slopes 0.706 to 1.147
+    against the window [0.70, 1.30].  Scales 1e-1 ... 1e-3 fit 0.896 to 1.098.
+    """
+    nd = len(manifold.shape)
 
     def sample(s, m):
-        res, bound, keep = _one_at_a_time(one, 2)(s, m)
-        return _ratio(res, bound), res, keep
-
-    def summarize(normalized, raw):
-        return max(normalized, default=0.0), {"max_raw_residual_per_scale": raw}
+        ua, ga, uw, gw = _draws(rng, m, manifold.shape, (0.3, 1.0), None, (0.3, 1.0), None)
+        x = _repeat(saddle_x, m)
+        u = manifold.exp(x, _tangents(manifold, x, s * ua, ga))
+        w = manifold.exp(x, _tangents(manifold, x, s * uw, gw))
+        duw = manifold.dist(u, w)
+        up = manifold.exp(u, Tangent(u, readonly(-eta * obj.rgrad(u).coords)))
+        wp = manifold.exp(w, Tangent(w, readonly(-eta * obj.rgrad(w).coords)))
+        lv = Tangent(x, readonly(manifold.log(x, w).coords - manifold.log(x, u).coords))
+        pred = lv.coords - eta * hess_operator(obj, x)(lv).coords
+        res = _norms(manifold.log(x, wp).coords - manifold.log(x, up).coords - pred, nd)
+        theta = duw + manifold.dist(u, x) + manifold.dist(w, x)
+        return _ratio(res, duw * theta), res, ~(duw < 1e-12)  # a degenerate pair is skipped
 
     return _scaling_check("linearization", manifold, n, scales, 1.0, falsify, sample, 2,
-                          summarize)
+                          _with_raw)
 
 
 def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
@@ -305,49 +316,59 @@ def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
     """First-order Taylor expansion of the transported gradient field:
     the defect against grad f(x) + H(x)[log_x(z)] decays quadratically in
     d(x, z); the empirical half-Hessian-Lipschitz constant is reported."""
-    def one(s):
-        x = manifold.random_point(rng)
-        z = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        d = manifold.dist(x, z)
-        if d < 1e-12:
-            return None
-        lg = manifold.log(x, z)
-        hterm = hess_operator(obj, x)(lg)
-        res = _norm(manifold.transport(z, x, obj.rgrad(z)).coords
-                    - obj.rgrad(x).coords - hterm.coords)
-        return res, 0.5 * d ** 2
+    nd = len(manifold.shape)
 
     def sample(s, m):
-        res, bound, keep = _one_at_a_time(one, 2)(s, m)
-        return res, _ratio(res, bound), keep
-
-    def summarize(res, ratio):
-        rho = max(ratio, default=0.0)
-        return rho, {"empirical_rho": rho}
+        gx, uz, gz = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None)
+        x = manifold._point_from(gx)
+        z = manifold.exp(x, _tangents(manifold, x, s * uz, gz))
+        d = manifold.dist(x, z)
+        hterm = hess_operator(obj, x)(manifold.log(x, z))
+        res = _norms(manifold.transport(z, x, obj.rgrad(z)).coords
+                     - obj.rgrad(x).coords - hterm.coords, nd)
+        # Python's float ** 2 calls libm pow, which numpy's squaring does not round alike
+        return res, _ratio(res, 0.5 * _pow(d, 2.0).astype(float)), ~(d < 1e-12)
 
     return _scaling_check("gradient-taylor", manifold, n, scales, 2.0, falsify, sample, 2,
-                          summarize)
+                          _empirical_rho)
 
 
 def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: float,
                   rng: np.random.Generator) -> VerificationReport:
     """Per-step descent audit: with the clamped step, every gradient step must
-    satisfy f(u+) <= f(u) - 0.5 * eta_bar * |grad|^2 up to 1e-12."""
+    satisfy f(u+) <= f(u) - 0.5 * eta_bar * |grad|^2 up to 1e-12.  The start
+    u is uniform in the tangent ball around the region's center; a start with
+    a zero gradient is skipped, and a violation that is not finite counts."""
     man = obj.manifold
     center, radius = region
-    worst = 0.0
+    geo = man.geometry()
     violations = 0
-    for _ in range(n):
-        u = man.exp(center, man.sample_tangent_ball(center, radius, rng))
-        g = obj.rgrad(u)
-        gn = g.norm()
-        if gn == 0:
-            continue
-        u_plus, eta_bar = clamped_step(man, u, g, gn, eta)
-        violation = obj.value(u_plus) - obj.value(u) + 0.5 * eta_bar * gn ** 2
-        if violation > 1e-12:
-            violations += 1
-        worst = max(worst, max(violation, 0.0))
+
+    def sample(radius, m):
+        nonlocal violations
+        if radius <= 0:  # `sample_tangent_ball`'s guard
+            raise ValueError(f"radius must be positive, got {radius}")
+        g, r = _draws(rng, m, man.shape, None, (0.0, 1.0))
+        c = _repeat(center, m)
+        g, gn = _directions(man, c, g)
+        norm = radius * _pow(r, 1.0 / geo.dimension).astype(float)  # radius * U^(1/d)
+        u = man.exp(c, Tangent(c, readonly((norm.reshape(gn.shape) / gn) * g)))
+        grad = obj.rgrad(u).coords
+        gnorm = _norms(grad, len(man.shape))
+        # `clamped_step`, which leaves u in place where the gradient norm is not positive
+        moving = gnorm > 0
+        eta_bar = np.where(moving, np.minimum(eta, geo.injectivity_radius
+                                              / np.where(moving, gnorm, 1.0)), 0.0)
+        step = np.where(moving.reshape(gn.shape), -eta_bar.reshape(gn.shape) * grad, 0.0)
+        u_plus = man.exp(u, Tangent(u, readonly(step)))
+        f_plus, f = (_stacked(obj.value, p, (m,)) for p in (u_plus, u))
+        violation = f_plus - f + 0.5 * eta_bar * _pow(gnorm, 2.0).astype(float)
+        keep = gnorm != 0
+        v = violation[keep]
+        violations += int(np.count_nonzero(~np.isfinite(v) | (v > 1e-12)))
+        return violation, keep
+
+    _, [[worst]] = _sweep(n, [radius], 1, sample, _chunk(man))
     return VerificationReport("descent", n, [radius], [worst], 0.0, worst,
                               violations == 0, None,
                               details={"violations": violations, "eta": eta})

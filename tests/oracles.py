@@ -1,6 +1,6 @@
 """Independent oracles shared by the test modules: dense tangent-basis
 Hessians, brute-force directional derivatives, principal angles, and the
-lemma checks sampled one at a time."""
+lemma checks and the descent audit sampled one at a time."""
 
 import math
 
@@ -52,13 +52,34 @@ def central_diff_along_geodesic(obj, x, v, t=1e-6):
     return (f_plus - f_minus) / (2.0 * t)
 
 
-# -- the four geometry checks, one sample at a time ---------------------------
+# -- the lemma checks, one sample at a time -----------------------------------
 #
-# Each `*_sample(manifold, rng)` returns the per-sample closure its check in
-# `geodescent.verify` evaluated before the checks stacked their samples: it
+# Each `*_sample(manifold, rng, ...)` returns the per-sample closure its check
+# in `geodescent.verify` evaluated before the checks stacked their samples: it
 # draws one configuration at scale s and returns its values.  Run through
-# `verify._one_at_a_time`, they give the reference reports the stacked checks
-# must render byte for byte.
+# `one_at_a_time`, they give the reference reports the stacked checks must
+# render byte for byte.
+
+def tangent_of_norm(man, x, norm, rng):
+    """A tangent at x of norm `norm` in a uniformly random direction."""
+    from geodescent import Tangent
+    from geodescent.manifolds import readonly
+    from geodescent.objectives import unit_tangent
+
+    u = unit_tangent(man, x, rng)
+    return Tangent(x, readonly(norm * u.coords))
+
+
+def one_at_a_time(sample, width):
+    """The stacked protocol of `verify._sweep` for a closure that draws and
+    evaluates one sample: sample(s) returns `width` floats, or None for a
+    degenerate draw."""
+    def stacked(s, m):
+        rows = [sample(s) for _ in range(m)]
+        vals = np.array([(math.nan,) * width if r is None else r for r in rows]).reshape(m, width)
+        return (*vals.T, np.array([r is not None for r in rows]))
+    return stacked
+
 
 def _ratio(residual, bound):
     if bound > 1e-300:
@@ -68,12 +89,11 @@ def _ratio(residual, bound):
 
 def two_step_sample(manifold, rng):
     from geodescent import Tangent
-    from geodescent.verify import _tangent_of_norm
 
     def sample(s):
         x = manifold.random_point(rng)
-        a = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
-        y = _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
+        a = tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
+        y = tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
         z = manifold.exp(x, a)
         p1 = manifold.exp(x, Tangent(x, a.coords + y.coords))
         p2 = manifold.exp(z, manifold.transport(x, z, y))
@@ -84,12 +104,11 @@ def two_step_sample(manifold, rng):
 
 
 def log_bilipschitz_sample(manifold, rng):
-    from geodescent.verify import _tangent_of_norm
 
     def sample(R):
         x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
-        z = manifold.exp(x, _tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
+        y = manifold.exp(x, tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
+        z = manifold.exp(x, tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
         d = manifold.dist(y, z)
         if d < 1e-12:
             return None
@@ -99,12 +118,11 @@ def log_bilipschitz_sample(manifold, rng):
 
 
 def transport_contraction_sample(manifold, rng):
-    from geodescent.verify import _tangent_of_norm
 
     def sample(s):
         x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        w = _tangent_of_norm(manifold, x, rng.uniform(0.2, 1.0), rng)
+        y = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
+        w = tangent_of_norm(manifold, x, rng.uniform(0.2, 1.0), rng)
         res = manifold.dist(manifold.exp(x, w),
                             manifold.exp(y, manifold.transport(x, y, w)))
         return res, _ratio(res, manifold.dist(x, y))
@@ -113,17 +131,55 @@ def transport_contraction_sample(manifold, rng):
 
 def holonomy_sample(manifold, rng):
     from geodescent.objectives import unit_tangent
-    from geodescent.verify import _tangent_of_norm
 
     def sample(s):
         x = manifold.random_point(rng)
-        y = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        z = manifold.exp(x, _tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
+        y = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
+        z = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
         w = unit_tangent(manifold, x, rng)
         via = manifold.transport(y, z, manifold.transport(x, y, w))
         direct = manifold.transport(x, z, w)
         res = np.linalg.norm(via.coords - direct.coords)
         return res, _ratio(res, manifold.dist(x, y) * manifold.dist(y, z) * w.norm())
+    return sample
+
+
+def linearization_sample(manifold, rng, obj, saddle_x, eta):
+    from geodescent import Tangent
+    from geodescent.objectives import hess_operator
+
+    hess = hess_operator(obj, saddle_x)
+
+    def sample(s):
+        u = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
+        w = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
+        duw = manifold.dist(u, w)
+        if duw < 1e-12:
+            return None
+        up = manifold.exp(u, Tangent(u, -eta * obj.rgrad(u).coords))
+        wp = manifold.exp(w, Tangent(w, -eta * obj.rgrad(w).coords))
+        lv = Tangent(saddle_x, manifold.log(saddle_x, w).coords - manifold.log(saddle_x, u).coords)
+        pred = lv.coords - eta * hess(lv).coords
+        res = np.linalg.norm(manifold.log(saddle_x, wp).coords - manifold.log(saddle_x, up).coords
+                             - pred)
+        theta = duw + manifold.dist(u, saddle_x) + manifold.dist(w, saddle_x)
+        return _ratio(res, duw * theta), res
+    return sample
+
+
+def gradient_taylor_sample(manifold, rng, obj):
+    from geodescent.objectives import hess_operator
+
+    def sample(s):
+        x = manifold.random_point(rng)
+        z = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
+        d = manifold.dist(x, z)
+        if d < 1e-12:
+            return None
+        hterm = hess_operator(obj, x)(manifold.log(x, z))
+        res = np.linalg.norm(manifold.transport(z, x, obj.rgrad(z)).coords
+                             - obj.rgrad(x).coords - hterm.coords)
+        return res, _ratio(res, 0.5 * d ** 2)
     return sample
 
 
@@ -133,18 +189,45 @@ REFERENCE_CHECKS = {
     "log-bilipschitz": (log_bilipschitz_sample, 2.0, 3, "_c2_c3"),
     "transport-contraction": (transport_contraction_sample, 1.0, 2, "_ratio_per_scale"),
     "holonomy": (holonomy_sample, 2.0, 2, "_largest_ratio"),
+    "linearization": (linearization_sample, 1.0, 2, "_with_raw"),
+    "gradient-taylor": (gradient_taylor_sample, 2.0, 2, "_empirical_rho"),
 }
 
 
-def reference_report(lemma_id, manifold, n, scales, rng):
+def reference_report(lemma_id, manifold, n, scales, rng, **problem):
     """The report of `lemma_id`'s check with its samples drawn and evaluated
-    one at a time."""
+    one at a time; `problem` holds the closure's objective arguments."""
     from geodescent import verify
 
     closure, expected, width, summarize = REFERENCE_CHECKS[lemma_id]
-    sample = verify._one_at_a_time(closure(manifold, rng), width)
+    sample = one_at_a_time(closure(manifold, rng, **problem), width)
     return verify._scaling_check(lemma_id, manifold, n, scales, expected, False, sample, width,
                                  getattr(verify, summarize))
+
+
+def reference_descent(obj, region, n, eta, rng):
+    """`verify.check_descent` with its steps drawn and taken one at a time."""
+    from geodescent.optimizer import clamped_step
+    from geodescent.verify import VerificationReport
+
+    man = obj.manifold
+    center, radius = region
+    worst = 0.0
+    violations = 0
+    for _ in range(n):
+        u = man.exp(center, man.sample_tangent_ball(center, radius, rng))
+        g = obj.rgrad(u)
+        gn = g.norm()
+        if gn == 0:
+            continue
+        u_plus, eta_bar = clamped_step(man, u, g, gn, eta)
+        violation = obj.value(u_plus) - obj.value(u) + 0.5 * eta_bar * gn ** 2
+        if violation > 1e-12:
+            violations += 1
+        worst = max(worst, max(violation, 0.0))
+    return VerificationReport("descent", n, [radius], [worst], 0.0, worst,
+                              violations == 0, None,
+                              details={"violations": violations, "eta": eta})
 
 
 def reference_maxima(n, scales, width, sample):

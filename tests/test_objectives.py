@@ -13,6 +13,7 @@ from geodescent import (
     KPCA,
     Manifold,
     Objective,
+    Point,
     Sphere,
     Tangent,
     classify_stationarity,
@@ -227,6 +228,44 @@ class TestHessVec:
             m_exact = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
             rel = np.linalg.norm(m_fd - m_exact, 2) / max(np.linalg.norm(m_exact, 2), 1.0)
             assert rel <= 1e-4
+
+
+STACKED_OBJECTIVES = {
+    "sphere(3)": lambda: DiagonalQuadratic(D_FIG),
+    "euclidean(3)": lambda: DiagonalQuadratic(D_FIG, Euclidean(3)),
+    "kpca-grassmann(5,3)": lambda: KPCA(random_symmetric(5, 0), 3),
+    "bm-oblique(7,3)": lambda: BurerMonteiro(random_symmetric(7, 1), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(STACKED_OBJECTIVES))
+def test_stacked_calls_give_each_sample_its_single_point_bits(name):
+    """value, rgrad, exact_hess and hess_vec on a stack of 200 seeded draws
+    give each sample the bits of its single-point call.  The stack holds a
+    zero tangent, which hess_vec maps to zero, and hess_vec's guards judge
+    every sample."""
+    obj = STACKED_OBJECTIVES[name]()
+    man = obj.manifold
+    rng = np.random.default_rng(11)
+    xs = [man.random_point(rng) for _ in range(200)]
+    vs = [man.sample_tangent_ball(p, 0.5, rng) for p in xs]
+    vs[5] = Tangent(xs[5], np.zeros(man.shape))
+    x = Point(man, np.array([p.coords for p in xs]))
+    v = Tangent(x, np.array([t.coords for t in vs]))
+    ops = {"value": lambda p, t: obj.value(p),
+           "rgrad": lambda p, t: obj.rgrad(p).coords,
+           "hess_vec": lambda p, t: hess_vec(obj, p, t).coords}
+    if obj.exact_hess is not None:
+        ops["exact_hess"] = lambda p, t: obj.exact_hess(p, t).coords
+    for op, call in ops.items():
+        stacked = call(x, v)
+        assert all(np.array_equal(stacked[i], call(p, t)) for i, (p, t) in enumerate(zip(xs, vs))), op
+    assert not hess_vec(obj, x, v).coords[5].any()
+    with pytest.raises(ValueError, match="step must be positive"):
+        hess_vec(obj, x, v, step=0.0)
+    if man.geometry().injectivity_radius < math.inf:
+        with pytest.raises(GeometryError, match="injectivity"):
+            hess_vec(obj, x, v, step=100.0)
 
 
 class TestHessOperator:

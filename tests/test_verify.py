@@ -390,6 +390,114 @@ def test_chunked_stacks_give_the_unchunked_report(monkeypatch):
     assert calls == [2] * len(STACKED)
 
 
+def _kpca_start():
+    obj = KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3)
+    return obj, obj.manifold.point(np.eye(5)[:, 1:4])
+
+
+# problem name -> (objective, the saddle or center its checks run at)
+OBJECTIVE_PROBLEMS = {
+    "sphere(3)": lambda: (DiagonalQuadratic(D_FIG), saddle()),
+    "euclidean(3)": lambda: (DiagonalQuadratic(D_FIG, Euclidean(3)), Euclidean(3).point(np.zeros(3))),
+    "kpca-grassmann(5,3)": _kpca_start,  # no closed-form Hessian: finite differences
+}
+
+
+def _linearization(check):
+    return lambda obj, x, n, rng: check(obj, obj.manifold, x, n, SCALES, 0.05, rng)
+
+
+def _descent(check, eta):
+    return lambda obj, x, n, rng: check(obj, (x, 1.0), n, eta, rng)
+
+
+# lemma -> (stacked check, its one-at-a-time reference), both called as (obj, x, n, rng)
+STACKED_OBJECTIVE = {
+    "linearization": (
+        _linearization(check_linearization),
+        _linearization(lambda obj, man, x, n, scales, eta, rng: oracles.reference_report(
+            "linearization", man, n, scales, rng, obj=obj, saddle_x=x, eta=eta))),
+    "gradient-taylor": (
+        lambda obj, x, n, rng: check_gradient_taylor(obj, obj.manifold, n, SCALES, rng),
+        lambda obj, x, n, rng: oracles.reference_report("gradient-taylor", obj.manifold, n,
+                                                        SCALES, rng, obj=obj)),
+    "descent": (_descent(check_descent, 0.09), _descent(oracles.reference_descent, 0.09)),
+    "descent-overstep": (_descent(check_descent, 1.0), _descent(oracles.reference_descent, 1.0)),
+}
+
+
+@pytest.mark.parametrize("problem, seed", [("sphere(3)", 0), ("sphere(3)", 7), ("euclidean(3)", 0),
+                                           ("kpca-grassmann(5,3)", 0)])
+@pytest.mark.parametrize("lemma", list(STACKED_OBJECTIVE))
+def test_stacked_objective_check_renders_the_one_at_a_time_report(lemma, problem, seed):
+    """Drawn sample by sample and evaluated as a stack, each check that calls
+    the objective gives the bytes of the same samples drawn and evaluated one
+    at a time."""
+    stacked, reference = STACKED_OBJECTIVE[lemma]
+    obj, x = OBJECTIVE_PROBLEMS[problem]()
+    rep = stacked(obj, x, 150, np.random.default_rng(seed))
+    assert render_report(rep) == render_report(reference(obj, x, 150, np.random.default_rng(seed)))
+    if lemma == "descent-overstep":
+        assert rep.details["violations"] > 0
+    elif lemma != "descent" and problem != "euclidean(3)":  # exact on flat space
+        assert min(rep.max_residual_per_scale) > 0.0
+
+
+@pytest.mark.parametrize("problem, floats", [("sphere(3)", 7), ("kpca-grassmann(5,3)", 30)])
+def test_chunked_objective_checks_give_the_unchunked_report(problem, floats, monkeypatch):
+    """A scale's samples split into stacks of 2, 2 and 1 give the bytes of one
+    stack of 5, for the checks that call the objective."""
+    obj, x = OBJECTIVE_PROBLEMS[problem]()
+    whole = {lemma: render_report(check(obj, x, 5, np.random.default_rng(3)))
+             for lemma, (check, _) in STACKED_OBJECTIVE.items()}
+    monkeypatch.setattr(geoverify, "STACK_FLOATS", floats)  # two samples
+    calls = []
+    sweep = geoverify._sweep
+
+    def spy(n, scales, width, sample, chunk):
+        calls.append(chunk)
+        return sweep(n, scales, width, sample, chunk)
+
+    monkeypatch.setattr(geoverify, "_sweep", spy)
+    for lemma, (check, _) in STACKED_OBJECTIVE.items():
+        assert render_report(check(obj, x, 5, np.random.default_rng(3))) == whole[lemma]
+    assert calls == [2] * len(STACKED_OBJECTIVE)
+
+
+@pytest.mark.parametrize("lemma", list(STACKED_OBJECTIVE))
+def test_an_objective_written_for_one_point_renders_the_one_at_a_time_report(lemma):
+    """On a stack, `Linear.value` returns one float and `Linear.ambient_grad`
+    one gradient for all samples.  The checks call each at every sample
+    instead, so they render the report of the samples taken one at a time."""
+    stacked, reference = STACKED_OBJECTIVE[lemma]
+    obj, x = Linear(S3, [1.0, -2.0, 0.5]), saddle()
+    rep = stacked(obj, x, 150, np.random.default_rng(4))
+    assert render_report(rep) == render_report(reference(obj, x, 150, np.random.default_rng(4)))
+
+
+class NanGradient(DiagonalQuadratic):
+    """x^T diag(d) x with an ambient gradient that is NaN throughout."""
+
+    def ambient_grad(self, x):
+        return np.full(x.coords.shape, math.nan)
+
+
+@pytest.mark.parametrize("lemma, problem", [("gradient-taylor", "sphere(3)"), ("descent", "sphere(3)"),
+                                            ("linearization", "euclidean(3)")])
+def test_a_nan_gradient_fails_its_check(lemma, problem):
+    """A NaN residual or violation fails its check, although the per-scale
+    maxima pass over it: the residual's ratio reads inf, and descent counts
+    the violation."""
+    obj, x = OBJECTIVE_PROBLEMS[problem]()
+    rep = STACKED_OBJECTIVE[lemma][0](NanGradient(obj.diag, obj.manifold), x, 50,
+                                      np.random.default_rng(0))
+    assert not rep.passed
+    if lemma == "descent":
+        assert rep.details["violations"] == 50
+    else:
+        assert rep.fitted_constant == math.inf
+
+
 def test_sweep_maxima_skip_nan_and_degenerate_draws():
     """The per-scale maxima are those of a running max(acc, value) from 0.0:
     a NaN never wins, a skipped draw counts for nothing, and a value that is
@@ -401,7 +509,7 @@ def test_sweep_maxima_skip_nan_and_degenerate_draws():
         it = iter(draws)
         return lambda s: next(it)
 
-    sample = geoverify._one_at_a_time(one_at_a_time(), 3)
+    sample = oracles.one_at_a_time(one_at_a_time(), 3)
     scales, got = geoverify._sweep(8, [0.1, 0.3, 0.2], 3, sample, 3)  # stacks of 3, 3 and 2
     assert scales == [0.3, 0.2, 0.1]
     assert got == oracles.reference_maxima(8, [0.1, 0.3, 0.2], 3, one_at_a_time())
