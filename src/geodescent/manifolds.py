@@ -259,20 +259,20 @@ class Manifold:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         d = self.geometry().dimension
-        g, gn = self._tangent_direction(x, rng)
+        g, gn = self._tangent_direction(x, rng.standard_normal(self.shape))
         norm = radius * rng.uniform() ** (1.0 / d)
         return Tangent(x, readonly((norm / gn) * g))
 
-    def _tangent_direction(self, x: Point, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        """A projected standard normal at x and its norm, redrawn while the
-        norm is at most 1e-12 (probability zero): a uniformly random tangent
-        direction."""
-        for _ in range(100):
-            g = self.project_tangent(x, rng.standard_normal(self.shape)).coords
-            gn = _norm(g)
-            if gn > 1e-12:
-                return g, gn
-        raise RuntimeError("failed to draw a nonzero tangent direction")  # pragma: no cover
+    def _tangent_direction(self, x: Point, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The standard normal draw g projected to the tangent space at x (or
+        each draw of a stack, at each point of one), and its norm, shaped to
+        scale a sample: a uniformly random tangent direction.  A norm at most
+        1e-12, which has probability zero, raises."""
+        g = self.project_tangent(x, g).coords
+        gn = np.asarray(_norms(g, len(self.shape)))
+        if not (gn > 1e-12).all():
+            raise RuntimeError("failed to draw a nonzero tangent direction")
+        return g, gn.reshape(gn.shape + (1,) * len(self.shape))
 
     def random_point(self, rng: np.random.Generator) -> Point:
         return self._point_from(rng.standard_normal(self.shape))
@@ -309,7 +309,7 @@ class Manifold:
         radius by `CUT_MARGIN`.  For an array of distances (a stack's, or an
         oblique point's rows) its largest must."""
         inj = self._geometry.injectivity_radius
-        if type(d) is not float:
+        if type(d) is np.ndarray:
             d = d.max()  # a NaN anywhere makes the max NaN
         if not d < inj - CUT_MARGIN:  # a NaN distance fails too
             raise GeometryError(
@@ -378,17 +378,18 @@ class Euclidean(Manifold):
         return Point(self, readonly(g))
 
 
-_atan2 = np.frompyfunc(math.atan2, 2, 1)  # libm's atan2: np.arctan2 differs in the last bit
+# libm's atan2 per element (np.arctan2 differs in the last bit); it returns a
+# Python float for scalars and an object array for arrays
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
 
 class Sphere(Manifold):
     """Unit sphere S^(n-1) in R^n.  Constant curvature 1, injectivity pi.
 
-    Each map has two bodies, picked by `coords.ndim`: a scalar one for a
-    single point, which the prgd loop and the per-sample checks call, and one
-    for a stack, which gives each sample the scalar body's bits.  On a
-    one-sample stack the stacked body costs 2-3x as much (best of 41, 2 vCPUs,
-    numpy 2.4.6: exp 16.2 vs 5.3 us, log 25.2 vs 8.0 us).
+    Each map has one body, written on the last axis, so that a single point
+    and a stack take the same arithmetic.  Its reductions are `np.vecdot`,
+    which rounds like `ndarray.dot`, and its angles libm's `atan2`, which
+    `np.arctan2` does not match in the last bit.
     """
 
     def __init__(self, n: int):
@@ -407,98 +408,58 @@ class Sphere(Manifold):
 
     def exp(self, x, v):
         self._check_base(x, v)
-        if x.coords.ndim > 1:
-            return self._exp_stack(x, v.coords)
-        th = _norm(v.coords)
-        if th == 0.0:  # a zero tangent, or one whose norm underflows
+        th = np.sqrt(np.vecdot(v.coords, v.coords, keepdims=True))
+        if not th.any():  # zero tangents, or ones whose norm underflows
             return x
-        if th < 1e-9:
-            y = x.coords + v.coords  # cubic error, below rounding at this scale
-        else:
-            y = math.cos(th) * x.coords + (math.sin(th) / th) * v.coords
-        return Point(self, readonly(y / _norm(y)))
+        # below th = 1e-9, cos = 1 and sin(t)/t = 1: y = x + v, cubic error below
+        # rounding; a norm that underflows to 0 divides by the smallest normal
+        ts = np.maximum(th, _TINY)
+        y = np.cos(ts) * x.coords + (np.sin(ts) / ts) * v.coords
+        y /= np.sqrt(np.vecdot(y, y, keepdims=True))
+        return Point(self, readonly(np.where(th == 0.0, x.coords, y)))
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):
-        """The angle d from x to y, the cosine c = x.y unclamped, u = y - c' x
-        with c' = c clamped to [-1, 1], and |u|: `Oblique._row_angles` for
-        one row."""
-        c = float(x.dot(y))
-        # `c` first in `max`, so a NaN stays NaN as it does through np.clip
-        cc = min(max(c, -1.0), 1.0)
-        u = y - cc * x
-        s = _norm(u)
-        return math.atan2(s, cc), c, u, s
+        """Per sample: the angle d from x to y, the cosine c = x.y unclamped,
+        u = y - c' x with c' = c clamped to [-1, 1], and |u|.  `Oblique._row_angles`
+        for one row."""
+        c = np.vecdot(x, y)
+        cc = np.minimum(np.maximum(c, -1.0), 1.0)
+        u = y - cc[..., None] * x
+        s = np.sqrt(np.vecdot(u, u))
+        return np.float64(_atan2(s, cc)), c, u, s
 
     def log(self, x, y):
         self._check_pair(x, y)
-        if x.coords.ndim > 1:
-            return self._log_stack(x, y)
         d, _, u, s = self._angle(x.coords, y.coords)
         self._check_injectivity(d, "log")
-        if s < 1e-300:
-            return Tangent(x, readonly(np.zeros_like(x.coords)))
-        return Tangent(x, readonly((d / s) * u))
+        # a tangent with |u| < 1e-300 is +0.0 throughout (0.0 * u would keep the
+        # signs of u), and dividing by at least 1e-300 keeps d / s finite there
+        return Tangent(x, readonly(np.where((s < 1e-300)[..., None], 0.0,
+                                            (d / np.maximum(s, 1e-300))[..., None] * u)))
 
     def dist(self, x, y):
         self._check_pair(x, y)
-        if x.coords.ndim > 1:
-            return self._angles(x.coords, y.coords)[0]
         return self._angle(x.coords, y.coords)[0]
 
     def transport(self, x, y, w):
         self._check_base(x, w)
         self._check_point(y)
         self._check_point(x)
-        if x.coords.ndim > 1:
-            return self._transport_stack(x, y, w.coords)
         d, c, _, _ = self._angle(x.coords, y.coords)
         self._check_injectivity(d, "transport")
         xy = x.coords + y.coords
-        out = w.coords - (xy.dot(w.coords) / (1.0 + c)) * xy
+        out = w.coords - (np.vecdot(xy, w.coords) / (1.0 + c))[..., None] * xy
         # kill rounding in the normal direction
-        return Tangent(y, readonly(out - y.coords.dot(out) * y.coords))
+        return Tangent(y, readonly(out - np.vecdot(y.coords, out, keepdims=True) * y.coords))
 
     def project_tangent(self, x, a):
         self._check_point(x)
         a = self._as_ambient(a, shape=x.coords.shape)
-        if x.coords.ndim > 1:
-            return Tangent(x, readonly(a - np.vecdot(x.coords, a)[:, None] * x.coords))
-        return Tangent(x, readonly(a - x.coords.dot(a) * x.coords))
+        return Tangent(x, readonly(a - np.vecdot(x.coords, a, keepdims=True) * x.coords))
 
     def _point_from(self, g):
-        return Point(self, readonly(g / np.asarray(_norms(g))[..., None]))
-
-    # -- stacked bodies: the scalar bodies above, one sample per row ------
-
-    @staticmethod
-    def _angles(x: np.ndarray, y: np.ndarray):
-        """`_angle` of each row pair."""
-        c = np.vecdot(x, y)
-        cc = np.minimum(np.maximum(c, -1.0), 1.0)
-        u = y - cc[:, None] * x
-        s = _norms(u)
-        return _atan2(s, cc).astype(float), c, u, s
-
-    def _exp_stack(self, x, v):
-        th = _norms(v)
-        ts = np.maximum(th, _TINY)[:, None]  # below 1e-9, cos = 1 and sin(t)/t = 1: y = x + v
-        y = np.cos(ts) * x.coords + (np.sin(ts) / ts) * v
-        y /= _norms(y)[:, None]
-        return Point(self, readonly(np.where(th[:, None] == 0.0, x.coords, y)))
-
-    def _log_stack(self, x, y):
-        d, _, u, s = self._angles(x.coords, y.coords)
-        self._check_injectivity(d, "log")
-        tiny = (s < 1e-300)[:, None]
-        return Tangent(x, readonly(np.where(tiny, 0.0, (d / np.where(s < 1e-300, 1.0, s))[:, None] * u)))
-
-    def _transport_stack(self, x, y, w):
-        d, c, _, _ = self._angles(x.coords, y.coords)
-        self._check_injectivity(d, "transport")
-        xy = x.coords + y.coords
-        out = w - (np.vecdot(xy, w) / (1.0 + c))[:, None] * xy
-        return Tangent(y, readonly(out - np.vecdot(y.coords, out)[:, None] * y.coords))
+        return Point(self, readonly(g / np.sqrt(np.vecdot(g, g, keepdims=True))))
 
 
 class Oblique(Manifold):

@@ -84,9 +84,7 @@ class DiagonalQuadratic(Objective):
             raise ValueError(f"diagonal of size {self.diag.size} does not match {self.manifold.name}")
 
     def value(self, x):
-        if x.coords.ndim > 1:  # np.vecdot rounds like `@` (both BLAS ddot)
-            return np.vecdot(x.coords, self.diag * x.coords)
-        return float(x.coords @ (self.diag * x.coords))
+        return np.vecdot(x.coords, self.diag * x.coords)  # rounds like `@` (both BLAS ddot)
 
     def ambient_grad(self, x):
         return 2.0 * self.diag * x.coords
@@ -94,9 +92,7 @@ class DiagonalQuadratic(Objective):
     def exact_hess(self, x, v):
         if isinstance(self.manifold, Sphere):
             pv = self.manifold.project_tangent(x, v.coords).coords
-            fx = self.value(x)
-            if pv.ndim > 1:
-                fx = fx[:, None]
+            fx = self.value(x)[..., None]
             w = 2.0 * (self.diag * pv - fx * pv)
             return self.manifold.project_tangent(x, w)
         return Tangent(x, readonly(2.0 * self.diag * v.coords))
@@ -183,7 +179,7 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
 
 def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
     """Unit tangent vector at x in a uniformly random direction."""
-    g, gn = man._tangent_direction(x, rng)
+    g, gn = man._tangent_direction(x, rng.standard_normal(man.shape))
     return Tangent(x, readonly(g / gn))
 
 

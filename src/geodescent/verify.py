@@ -87,22 +87,10 @@ def _draws(rng: np.random.Generator, m: int, shape, *spec) -> list[np.ndarray]:
     return [np.array(c) for c in cols]
 
 
-def _directions(man: Manifold, x: Point, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`Manifold._tangent_direction` at each of the stacked points x, from its
-    normal draw g: the projected draw and its norm, shaped to scale a sample.
-    A projected draw of norm at most 1e-12 (probability zero) raises, where
-    `_tangent_direction` would draw again."""
-    g = man.project_tangent(x, g).coords
-    gn = _norms(g, len(man.shape))
-    if not (gn > 1e-12).all():
-        raise RuntimeError("failed to draw a nonzero tangent direction")
-    return g, gn.reshape((-1,) + (1,) * len(man.shape))
-
-
 def _tangents(man: Manifold, x: Point, norm: np.ndarray, g: np.ndarray) -> Tangent:
     """`norm` times `unit_tangent` at each of the stacked points x, from its
     normal draw g."""
-    g, gn = _directions(man, x, g)
+    g, gn = man._tangent_direction(x, g)
     return Tangent(x, readonly(norm.reshape(gn.shape) * (g / gn)))
 
 
@@ -350,7 +338,7 @@ def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: floa
             raise ValueError(f"radius must be positive, got {radius}")
         g, r = _draws(rng, m, man.shape, None, (0.0, 1.0))
         c = _repeat(center, m)
-        g, gn = _directions(man, c, g)
+        g, gn = man._tangent_direction(c, g)
         norm = radius * _pow(r, 1.0 / geo.dimension).astype(float)  # radius * U^(1/d)
         u = man.exp(c, Tangent(c, readonly((norm.reshape(gn.shape) / gn) * g)))
         grad = obj.rgrad(u).coords

@@ -548,6 +548,53 @@ class TestLeanKernelsSameBits:
                 man.log(Point(man, e1), Point(man, inf_times_zero))
             assert math.isnan(man.dist(Point(man, e1), Point(man, inf_times_zero)))
 
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_sphere_stacks_at_edge_inputs(self, n):
+        """The edge inputs above as rows of one stack: each row gets the bits
+        of its parent expression, and a stack with one row past the guard
+        raises what that row raises alone."""
+        man = Sphere(n)
+        e1, e2 = np.eye(n)[0], np.eye(n)[1]
+
+        def assert_rows(got, want):
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(bits(g), bits(w))
+
+        # tangents zero, underflowing to a zero norm, below 1e-9 and normal
+        x = Point(man, np.stack([e1] * 4))
+        vs = np.stack([s * e2 for s in (0.0, 1e-200, 1e-10, 0.5)])
+        assert_rows(man.exp(x, Tangent(x, vs)).coords, [parent_sphere_exp(e1, v) for v in vs])
+        past_one = e1 * (1.0 + 2.0 ** -52)
+        near_antipode = -e1 + 1e-13 * e2
+        nan_entry = np.where(np.arange(n) == 1, np.nan, 0.0) + e1
+        inf_times_zero = np.where(np.arange(n) == 1, np.inf, 0.0)
+        minus_zero = np.where(np.arange(n) == 1, -0.0, e1)  # x itself, with a -0.0: log is +0.0 throughout
+        inside = [(e1, e1), (past_one, past_one), (e1, minus_zero)]
+        beyond = [(e1, -e1), (past_one, -past_one), (e1, near_antipode / np.linalg.norm(near_antipode)),
+                  (e1, nan_entry), (nan_entry, e1), (e1, inf_times_zero)]
+        with np.errstate(invalid="ignore"):
+            pairs = inside + beyond
+            x, y = (Point(man, np.stack(c)) for c in zip(*pairs))
+            v = Tangent(x, np.stack([1e-10 * e2] * len(pairs)))
+            assert_rows(man.exp(x, v).coords, [parent_sphere_exp(xc, 1e-10 * e2) for xc, _ in pairs])
+            assert_rows(man.dist(x, y), [parent_sphere_dist(xc, yc) for xc, yc in pairs])
+            assert_rows(man.project_tangent(x, np.stack([e2] * len(pairs))).coords,
+                        [parent_sphere_project(xc, e2) for xc, _ in pairs])
+            for k in range(len(beyond) + 1):  # the rows inside the guard, then each row beyond it with them
+                stack = inside + beyond[k - 1:k]
+                x, y = (Point(man, np.stack(c)) for c in zip(*stack))
+                w = Tangent(x, np.stack([0.5 * e2] * len(stack)))
+                log, transport = outcome(lambda: man.log(x, y)), outcome(lambda: man.transport(x, y, w))
+                if k == 0:
+                    assert_rows(log[0], [parent_sphere_log(xc, yc) for xc, yc in stack])
+                    assert_rows(transport[0], [parent_sphere_transport(man.name, xc, yc, 0.5 * e2)
+                                               for xc, yc in stack])
+                else:
+                    xc, yc = stack[-1]
+                    assert log == outcome(lambda: parent_sphere_log(xc, yc))
+                    assert transport == outcome(lambda: parent_sphere_transport(man.name, xc, yc, 0.5 * e2))
+
     def test_sphere_antipodal_messages(self):
         x, y = sphere_point(1, 0, 0), sphere_point(-1, 0, 0)
         z = sphere_point(-1, 1e-13, 0)

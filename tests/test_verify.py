@@ -25,6 +25,7 @@ from geodescent import (
     practical_thresholds,
 )
 from geodescent import verify as geoverify
+from geodescent.objectives import unit_tangent
 from geodescent.verify import render_report
 
 import oracles
@@ -517,14 +518,23 @@ def test_sweep_maxima_skip_nan_and_degenerate_draws():
 
 
 def test_a_vanishing_projected_draw_raises():
-    """One at a time, a projected normal of norm at most 1e-12 is drawn again;
-    in a stack (probability zero) it raises."""
+    """A projected normal of norm at most 1e-12 (probability zero) raises, in
+    a stack and at a single point alike."""
     x = Point(S3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     norm = np.array([1.0, 0.5])
     with pytest.raises(RuntimeError, match="nonzero tangent direction"):
         geoverify._tangents(S3, x, norm, np.array([[0.0, 1.0, 0.0], [0.0, 1e-13, 0.0]]))
     got = geoverify._tangents(S3, x, norm, np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]]))
     assert np.array_equal(got.coords, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.0]])
+
+    class Normal:  # draws along the point, which project to zero
+        def standard_normal(self, shape):
+            return np.array([2.0, 0.0, 0.0])
+
+    one = Point(S3, np.array([1.0, 0.0, 0.0]))
+    for draw in (lambda: unit_tangent(S3, one, Normal()), lambda: S3.sample_tangent_ball(one, 0.5, Normal())):
+        with pytest.raises(RuntimeError, match="nonzero tangent direction"):
+            draw()
 
 
 def test_draws_keep_the_one_at_a_time_order():
