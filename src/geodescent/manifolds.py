@@ -256,7 +256,7 @@ class Manifold:
         the uniform distribution on the d-dimensional ball.
         """
         self._check_point(x)
-        if radius <= 0:
+        if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         d = self.geometry().dimension
         g, gn = self._tangent_direction(x, rng.standard_normal(self.shape))

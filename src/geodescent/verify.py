@@ -12,13 +12,13 @@ the check passes.  Every check has a falsification mode (expected decay
 exponent lowered by one) that must fail, exact cases included, guarding
 against vacuous passes.
 
-All six scaling checks and the descent audit draw each scale's samples one
-at a time, in the order a sample-by-sample loop would, and then evaluate
-them as one stack through the manifold maps and the objective.  A stack
-gives each sample the bits it gets alone, so the reports do not depend on
-the stacking.  A NaN residual reads as an infinite ratio to its bound, so
-every check whose constant is a largest ratio fails on it, and descent
-counts a violation that is not finite.
+All six scaling checks and the descent audit take each kind of draw from
+its own stream, spawned from the check's generator, one block per stack of
+samples, and evaluate the stack through the manifold maps and the
+objective.  Neither a stream's bits nor a sample's depend on how a scale is
+cut into stacks, so neither do the reports.  A NaN residual reads as an
+infinite ratio to its bound, so every check whose constant is a largest
+ratio fails on it, and descent counts a violation that is not finite.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from .optimizer import ThresholdSet, clamped_step, classify_stationarity
 SLOPE_HALF_WIDTH = 0.3
 EXACT_RESIDUAL = 1e-10
 # A stack holds at most this many floats (128 KB), so a scale's samples are
-# evaluated in chunks: an oblique(100,20) verify at 1,000 samples per scale
-# would otherwise hold 1,000 x 2,000 x 8 B = 16 MB per temporary, with about
-# twenty temporaries alive.  Its peak RSS is 38 MB at this bound, as one
-# sample at a time, and 89 MB at 2 ** 19 floats; sphere(3) stacks stay whole.
+# drawn and evaluated in chunks: an oblique(100,20) verify at 1,000 samples
+# per scale would otherwise hold 1,000 x 2,000 x 8 B = 16 MB per draw kind and
+# temporary, about twenty of them alive.  Its peak RSS is 38 MB at this bound,
+# as one sample at a time, and 89 MB at 2 ** 19 floats; sphere(3) stacks stay whole.
 STACK_FLOATS = 2 ** 14
 
 
@@ -73,18 +73,15 @@ def _ratio(residual: np.ndarray, bound: np.ndarray) -> np.ndarray:
                     np.where(residual <= 1e-12, 0.0, math.inf))
 
 
-def _draws(rng: np.random.Generator, m: int, shape, *spec) -> list[np.ndarray]:
-    """m samples of the draws `spec` names, taken sample by sample in the
-    order a one-at-a-time loop takes them: None is a standard normal of
-    `shape`, (lo, hi) a uniform, as lo + (hi - lo) * random() (the bits of
-    `rng.uniform`, at a third of its cost).  Returns one stack per entry."""
-    normal, uniform = rng.standard_normal, rng.random
-    spec = [d if d is None else (d[0], d[1] - d[0]) for d in spec]
-    cols = [[] for _ in spec]
-    for _ in range(m):
-        for col, d in zip(cols, spec):
-            col.append(normal(shape) if d is None else d[0] + d[1] * uniform())
-    return [np.array(c) for c in cols]
+def _draws(rng: np.random.Generator, shape: tuple, *spec):
+    """draw(m): the next m samples of each entry of `spec`, one stack per
+    entry, from the entry's own child of one `rng.spawn`, which leaves rng's
+    stream where it was.  None is a standard normal of `shape`, (lo, hi) a
+    uniform, lo + (hi - lo) * random() (`rng.uniform`'s bits).  A stream's
+    values do not depend on how calls cut it: draw(3), draw(47) is draw(50)."""
+    streams = rng.spawn(len(spec))
+    return lambda m: [g.standard_normal((m,) + shape) if d is None
+                      else d[0] + (d[1] - d[0]) * g.random(m) for g, d in zip(streams, spec)]
 
 
 def _tangents(man: Manifold, x: Point, norm: np.ndarray, g: np.ndarray) -> Tangent:
@@ -168,9 +165,6 @@ def _empirical_rho(res: list[float], ratio: list[float]) -> tuple[float, dict]:
     return rho, {"empirical_rho": rho}
 
 
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
 def check_two_step(manifold: Manifold, n: int, scales, rng: np.random.Generator,
                    falsify: bool = False) -> VerificationReport:
     """Two-step commutation: moving along y+a at once versus moving along a,
@@ -178,9 +172,10 @@ def check_two_step(manifold: Manifold, n: int, scales, rng: np.random.Generator,
     c1 * min(|a|, |y|) * (|a| + |y|)^2, hence decays cubically in the scale.
     """
     nd = len(manifold.shape)
+    draw = _draws(rng, manifold.shape, None, (0.5, 1.0), None, (0.5, 1.0), None)
 
     def sample(s, m):
-        gx, ua, ga, uy, gy = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None, (0.5, 1.0), None)
+        gx, ua, ga, uy, gy = draw(m)
         x = manifold._point_from(gx)
         a = _tangents(manifold, x, s * ua, ga)
         y = _tangents(manifold, x, s * uy, gy)
@@ -189,8 +184,7 @@ def check_two_step(manifold: Manifold, n: int, scales, rng: np.random.Generator,
         p2 = manifold.exp(z, manifold.transport(x, z, y))
         res = manifold.dist(p1, p2)
         na, ny = _norms(a.coords, nd), _norms(y.coords, nd)
-        # Python's float ** 2 calls libm pow, which numpy's squaring does not round alike
-        bound = np.minimum(na, ny) * _pow(na + ny, 2.0).astype(float)
+        bound = np.minimum(na, ny) * (na + ny) ** 2
         return res, _ratio(res, bound), np.ones(m, bool)
 
     return _scaling_check("two-step", manifold, n, scales, 3.0, falsify, sample, 2,
@@ -204,8 +198,10 @@ def check_log_bilipschitz(manifold: Manifold, n: int, R_values, rng: np.random.G
     Measures q = |log_x(y) - log_x(z)| / d(y, z); the deviation max(q-1, 1/q-1)
     scales as R^2, with fitted constants c2 (lower side) and c3 (upper side).
     """
+    draw = _draws(rng, manifold.shape, None, (0.3, 0.5), None, (0.3, 0.5), None)
+
     def sample(R, m):
-        gx, uy, gy, uz, gz = _draws(rng, m, manifold.shape, None, (0.3, 0.5), None, (0.3, 0.5), None)
+        gx, uy, gy, uz, gz = draw(m)
         x = manifold._point_from(gx)
         y = manifold.exp(x, _tangents(manifold, x, R * uy, gy))
         z = manifold.exp(x, _tangents(manifold, x, R * uz, gz))
@@ -225,8 +221,10 @@ def check_transport_contraction(manifold: Manifold, n: int, rng: np.random.Gener
                                 falsify: bool = False) -> VerificationReport:
     """Endpoint spread of parallel geodesics: d(exp_x(w), exp_y(transport w))
     is at most c4 * d(x, y), hence decays linearly in the base-pair scale."""
+    draw = _draws(rng, manifold.shape, None, (0.5, 1.0), None, (0.2, 1.0), None)
+
     def sample(s, m):
-        gx, uy, gy, uw, gw = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None, (0.2, 1.0), None)
+        gx, uy, gy, uw, gw = draw(m)
         x = manifold._point_from(gx)
         y = manifold.exp(x, _tangents(manifold, x, s * uy, gy))
         w = _tangents(manifold, x, uw, gw)
@@ -244,10 +242,10 @@ def check_holonomy(manifold: Manifold, n: int, scales, rng: np.random.Generator,
     |T_y->z T_x->y w - T_x->z w| <= c5 d(x,y) d(y,z) |w|, quadratic in the
     triangle scale."""
     nd = len(manifold.shape)
+    draw = _draws(rng, manifold.shape, None, (0.5, 1.0), None, (0.5, 1.0), None, None)
 
     def sample(s, m):
-        gx, uy, gy, uz, gz, gw = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None,
-                                        (0.5, 1.0), None, None)
+        gx, uy, gy, uz, gz, gw = draw(m)
         x = manifold._point_from(gx)
         y = manifold.exp(x, _tangents(manifold, x, s * uy, gy))
         z = manifold.exp(x, _tangents(manifold, x, s * uz, gz))
@@ -280,9 +278,10 @@ def check_linearization(obj: Objective, manifold: Manifold, saddle_x: Point,
     against the window [0.70, 1.30].  Scales 1e-1 ... 1e-3 fit 0.896 to 1.098.
     """
     nd = len(manifold.shape)
+    draw = _draws(rng, manifold.shape, (0.3, 1.0), None, (0.3, 1.0), None)
 
     def sample(s, m):
-        ua, ga, uw, gw = _draws(rng, m, manifold.shape, (0.3, 1.0), None, (0.3, 1.0), None)
+        ua, ga, uw, gw = draw(m)
         x = _repeat(saddle_x, m)
         u = manifold.exp(x, _tangents(manifold, x, s * ua, ga))
         w = manifold.exp(x, _tangents(manifold, x, s * uw, gw))
@@ -305,17 +304,17 @@ def check_gradient_taylor(obj: Objective, manifold: Manifold, n: int, scales,
     the defect against grad f(x) + H(x)[log_x(z)] decays quadratically in
     d(x, z); the empirical half-Hessian-Lipschitz constant is reported."""
     nd = len(manifold.shape)
+    draw = _draws(rng, manifold.shape, None, (0.5, 1.0), None)
 
     def sample(s, m):
-        gx, uz, gz = _draws(rng, m, manifold.shape, None, (0.5, 1.0), None)
+        gx, uz, gz = draw(m)
         x = manifold._point_from(gx)
         z = manifold.exp(x, _tangents(manifold, x, s * uz, gz))
         d = manifold.dist(x, z)
         hterm = hess_operator(obj, x)(manifold.log(x, z))
         res = _norms(manifold.transport(z, x, obj.rgrad(z)).coords
                      - obj.rgrad(x).coords - hterm.coords, nd)
-        # Python's float ** 2 calls libm pow, which numpy's squaring does not round alike
-        return res, _ratio(res, 0.5 * _pow(d, 2.0).astype(float)), ~(d < 1e-12)
+        return res, _ratio(res, 0.5 * d ** 2), ~(d < 1e-12)
 
     return _scaling_check("gradient-taylor", manifold, n, scales, 2.0, falsify, sample, 2,
                           _empirical_rho)
@@ -329,17 +328,18 @@ def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: floa
     a zero gradient is skipped, and a violation that is not finite counts."""
     man = obj.manifold
     center, radius = region
+    if not radius > 0:  # `sample_tangent_ball`'s guard, which a NaN fails too
+        raise ValueError(f"radius must be positive, got {radius}")
     geo = man.geometry()
     violations = 0
+    draw = _draws(rng, man.shape, None, (0.0, 1.0))
 
     def sample(radius, m):
         nonlocal violations
-        if radius <= 0:  # `sample_tangent_ball`'s guard
-            raise ValueError(f"radius must be positive, got {radius}")
-        g, r = _draws(rng, m, man.shape, None, (0.0, 1.0))
+        g, r = draw(m)
         c = _repeat(center, m)
         g, gn = man._tangent_direction(c, g)
-        norm = radius * _pow(r, 1.0 / geo.dimension).astype(float)  # radius * U^(1/d)
+        norm = radius * r ** (1.0 / geo.dimension)  # radius * U^(1/d)
         u = man.exp(c, Tangent(c, readonly((norm.reshape(gn.shape) / gn) * g)))
         grad = obj.rgrad(u).coords
         gnorm = _norms(grad, len(man.shape))
@@ -350,7 +350,7 @@ def check_descent(obj: Objective, region: tuple[Point, float], n: int, eta: floa
         step = np.where(moving.reshape(gn.shape), -eta_bar.reshape(gn.shape) * grad, 0.0)
         u_plus = man.exp(u, Tangent(u, readonly(step)))
         f_plus, f = (_stacked(obj.value, p, (m,)) for p in (u_plus, u))
-        violation = f_plus - f + 0.5 * eta_bar * _pow(gnorm, 2.0).astype(float)
+        violation = f_plus - f + 0.5 * eta_bar * gnorm ** 2
         keep = gnorm != 0
         v = violation[keep]
         violations += int(np.count_nonzero(~np.isfinite(v) | (v > 1e-12)))

@@ -54,11 +54,14 @@ def central_diff_along_geodesic(obj, x, v, t=1e-6):
 
 # -- the lemma checks, one sample at a time -----------------------------------
 #
-# Each `*_sample(manifold, rng, ...)` returns the per-sample closure its check
-# in `geodescent.verify` evaluated before the checks stacked their samples: it
-# draws one configuration at scale s and returns its values.  Run through
-# `one_at_a_time`, they give the reference reports the stacked checks must
-# render byte for byte.
+# Each `*_sample(manifold, rng, ...)` returns a closure that draws one
+# configuration at scale s and returns its values, evaluated one sample at a
+# time through the single-point API.  Like its check in `geodescent.verify`,
+# it spawns one child stream of rng per kind of draw, in the check's order,
+# and takes each draw from its kind's stream.  Run through `one_at_a_time`,
+# they give the reference reports the stacked checks must render byte for
+# byte.  Squares are `np.square`, which the checks' `** 2` on a stack is, and
+# which Python's libm `x ** 2` does not always round alike.
 
 def tangent_of_norm(man, x, norm, rng):
     """A tangent at x of norm `norm` in a uniformly random direction."""
@@ -90,25 +93,28 @@ def _ratio(residual, bound):
 def two_step_sample(manifold, rng):
     from geodescent import Tangent
 
+    gx, ua, ga, uy, gy = rng.spawn(5)
+
     def sample(s):
-        x = manifold.random_point(rng)
-        a = tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
-        y = tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng)
+        x = manifold.random_point(gx)
+        a = tangent_of_norm(manifold, x, s * ua.uniform(0.5, 1.0), ga)
+        y = tangent_of_norm(manifold, x, s * uy.uniform(0.5, 1.0), gy)
         z = manifold.exp(x, a)
         p1 = manifold.exp(x, Tangent(x, a.coords + y.coords))
         p2 = manifold.exp(z, manifold.transport(x, z, y))
         res = manifold.dist(p1, p2)
         na, ny = a.norm(), y.norm()
-        return res, _ratio(res, min(na, ny) * (na + ny) ** 2)
+        return res, _ratio(res, min(na, ny) * np.square(na + ny))
     return sample
 
 
 def log_bilipschitz_sample(manifold, rng):
+    gx, uy, gy, uz, gz = rng.spawn(5)
 
     def sample(R):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
-        z = manifold.exp(x, tangent_of_norm(manifold, x, R * rng.uniform(0.3, 0.5), rng))
+        x = manifold.random_point(gx)
+        y = manifold.exp(x, tangent_of_norm(manifold, x, R * uy.uniform(0.3, 0.5), gy))
+        z = manifold.exp(x, tangent_of_norm(manifold, x, R * uz.uniform(0.3, 0.5), gz))
         d = manifold.dist(y, z)
         if d < 1e-12:
             return None
@@ -118,11 +124,12 @@ def log_bilipschitz_sample(manifold, rng):
 
 
 def transport_contraction_sample(manifold, rng):
+    gx, uy, gy, uw, gw = rng.spawn(5)
 
     def sample(s):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        w = tangent_of_norm(manifold, x, rng.uniform(0.2, 1.0), rng)
+        x = manifold.random_point(gx)
+        y = manifold.exp(x, tangent_of_norm(manifold, x, s * uy.uniform(0.5, 1.0), gy))
+        w = tangent_of_norm(manifold, x, uw.uniform(0.2, 1.0), gw)
         res = manifold.dist(manifold.exp(x, w),
                             manifold.exp(y, manifold.transport(x, y, w)))
         return res, _ratio(res, manifold.dist(x, y))
@@ -132,11 +139,13 @@ def transport_contraction_sample(manifold, rng):
 def holonomy_sample(manifold, rng):
     from geodescent.objectives import unit_tangent
 
+    gx, uy, gy, uz, gz, gw = rng.spawn(6)
+
     def sample(s):
-        x = manifold.random_point(rng)
-        y = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        z = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
-        w = unit_tangent(manifold, x, rng)
+        x = manifold.random_point(gx)
+        y = manifold.exp(x, tangent_of_norm(manifold, x, s * uy.uniform(0.5, 1.0), gy))
+        z = manifold.exp(x, tangent_of_norm(manifold, x, s * uz.uniform(0.5, 1.0), gz))
+        w = unit_tangent(manifold, x, gw)
         via = manifold.transport(y, z, manifold.transport(x, y, w))
         direct = manifold.transport(x, z, w)
         res = np.linalg.norm(via.coords - direct.coords)
@@ -149,10 +158,11 @@ def linearization_sample(manifold, rng, obj, saddle_x, eta):
     from geodescent.objectives import hess_operator
 
     hess = hess_operator(obj, saddle_x)
+    ua, ga, uw, gw = rng.spawn(4)
 
     def sample(s):
-        u = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
-        w = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * rng.uniform(0.3, 1.0), rng))
+        u = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * ua.uniform(0.3, 1.0), ga))
+        w = manifold.exp(saddle_x, tangent_of_norm(manifold, saddle_x, s * uw.uniform(0.3, 1.0), gw))
         duw = manifold.dist(u, w)
         if duw < 1e-12:
             return None
@@ -170,16 +180,18 @@ def linearization_sample(manifold, rng, obj, saddle_x, eta):
 def gradient_taylor_sample(manifold, rng, obj):
     from geodescent.objectives import hess_operator
 
+    gx, uz, gz = rng.spawn(3)
+
     def sample(s):
-        x = manifold.random_point(rng)
-        z = manifold.exp(x, tangent_of_norm(manifold, x, s * rng.uniform(0.5, 1.0), rng))
+        x = manifold.random_point(gx)
+        z = manifold.exp(x, tangent_of_norm(manifold, x, s * uz.uniform(0.5, 1.0), gz))
         d = manifold.dist(x, z)
         if d < 1e-12:
             return None
         hterm = hess_operator(obj, x)(manifold.log(x, z))
         res = np.linalg.norm(manifold.transport(z, x, obj.rgrad(z)).coords
                              - obj.rgrad(x).coords - hterm.coords)
-        return res, _ratio(res, 0.5 * d ** 2)
+        return res, _ratio(res, 0.5 * np.square(d))
     return sample
 
 
@@ -206,22 +218,30 @@ def reference_report(lemma_id, manifold, n, scales, rng, **problem):
 
 
 def reference_descent(obj, region, n, eta, rng):
-    """`verify.check_descent` with its steps drawn and taken one at a time."""
+    """`verify.check_descent` with its steps drawn and taken one at a time:
+    `sample_tangent_ball` unrolled into a normal and a uniform stream,
+    spawned like the check's, with the check's numpy `**` for U^(1/d), which
+    Python's libm `u ** (1 / d)` does not always round alike."""
+    from geodescent import Tangent
     from geodescent.optimizer import clamped_step
     from geodescent.verify import VerificationReport
 
     man = obj.manifold
     center, radius = region
+    d = man.geometry().dimension
+    normal, uniform = rng.spawn(2)
     worst = 0.0
     violations = 0
     for _ in range(n):
-        u = man.exp(center, man.sample_tangent_ball(center, radius, rng))
+        g, gn = man._tangent_direction(center, normal.standard_normal(man.shape))
+        norm = radius * np.array(uniform.uniform()) ** (1.0 / d)
+        u = man.exp(center, Tangent(center, (norm / gn) * g))
         g = obj.rgrad(u)
         gn = g.norm()
         if gn == 0:
             continue
         u_plus, eta_bar = clamped_step(man, u, g, gn, eta)
-        violation = obj.value(u_plus) - obj.value(u) + 0.5 * eta_bar * gn ** 2
+        violation = obj.value(u_plus) - obj.value(u) + 0.5 * eta_bar * np.square(gn)
         if violation > 1e-12:
             violations += 1
         worst = max(worst, max(violation, 0.0))

@@ -296,6 +296,15 @@ class TestRunExperiment:
         assert "passed = true" in lines
         assert "beta_hat = 10" in lines
 
+    def test_shipped_verify_config_passes_every_check_at_seeds_0_to_19(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = load_config(os.path.join(root, "configs", "verify.cfg"))
+        for seed in range(20):
+            out = run_experiment(cfg, out_dir=str(tmp_path / f"v{seed}"), seed=seed)
+            assert out.exit_code == 0, seed
+            assert len(out.reports) == 8 and all(r.passed for r in out.reports), seed
+            assert [m.split(" (")[0] for m in out.messages] == ["coupling: PASS"], seed
+
 
 THRESHOLD_KEYS = ["c_hat", "c_max", "chi", "r", "f_thres", "g_thres", "t_thres", "eta",
                   "gamma", "kappa", "script_F", "script_G", "script_S", "script_T",

@@ -26,7 +26,6 @@ from geodescent import (
     manifolds,
     objectives,
 )
-from geodescent import verify as geoverify
 from geodescent.manifolds import CUT_MARGIN
 
 import oracles
@@ -1149,9 +1148,8 @@ def test_host_facts_the_stacked_bodies_rely_on():
     """The stacked bodies reproduce the scalar ones only while these hold.  A
     numpy or CPU change that breaks one should fail here, not shift report
     bytes: np.vecdot rounds like ndarray.dot (both BLAS ddot), numpy's cos
-    and sin round like libm's, and np.arctan2 and squaring do not round like
-    libm's atan2 and pow everywhere, which is why the stacked paths call libm
-    for those."""
+    and sin round like libm's, and np.arctan2 does not round like libm's
+    atan2 everywhere, which is why the stacked paths call libm for it."""
     rng = np.random.default_rng(0)
     for n in (2, 3, 20):
         a, b = rng.standard_normal((2, 20000, n))
@@ -1163,7 +1161,3 @@ def test_host_facts_the_stacked_bodies_rely_on():
     libm = bits([math.atan2(p, q) for p, q in zip(s, c)])
     assert np.array_equal(bits(manifolds._atan2(s, c).astype(float)), libm)
     assert not np.array_equal(bits(np.arctan2(s, c)), libm)
-    x = rng.uniform(0.0, 3.0, 200000)
-    libm = bits([v ** 2 for v in x])
-    assert np.array_equal(bits(geoverify._pow(x, 2.0).astype(float)), libm)
-    assert not np.array_equal(bits(x ** 2), libm)

@@ -537,12 +537,30 @@ def test_a_vanishing_projected_draw_raises():
             draw()
 
 
-def test_draws_keep_the_one_at_a_time_order():
-    """`_draws` takes each sample's draws in turn, and its uniforms have the
-    bits of `rng.uniform`."""
-    a, b = np.random.default_rng(9), np.random.default_rng(9)
-    gx, u, g = geoverify._draws(a, 50, (2, 3), None, (0.3, 0.5), None)
-    for i in range(50):
-        assert np.array_equal(gx[i], b.standard_normal((2, 3)))
-        assert u[i] == b.uniform(0.3, 0.5)
-        assert np.array_equal(g[i], b.standard_normal((2, 3)))
+def test_draws_take_each_kind_from_its_own_spawned_stream():
+    """`_draws` gives each entry the draws of its own child of one
+    `rng.spawn`, its uniforms have the bits of `rng.uniform`, a stream cut
+    into calls of 3 and 47 gives the bits of one call of 50, and the parent
+    stream does not move."""
+    a, b, c = (np.random.default_rng(9) for _ in range(3))
+    gx, u, g = geoverify._draws(a, (2, 3), None, (0.3, 0.5), None)(50)
+    kids = b.spawn(3)
+    assert np.array_equal(gx, kids[0].standard_normal((50, 2, 3)))
+    assert np.array_equal(u, [kids[1].uniform(0.3, 0.5) for _ in range(50)])
+    assert np.array_equal(g, kids[2].standard_normal((50, 2, 3)))
+    draw = geoverify._draws(c, (2, 3), None, (0.3, 0.5), None)
+    for whole, first, rest in zip((gx, u, g), draw(3), draw(47)):
+        assert np.array_equal(whole, np.concatenate([first, rest]))
+    assert a.random() == np.random.default_rng(9).random()
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_descent_rejects_a_radius_that_is_not_positive(radius, n):
+    """A radius that is not positive, NaN included, raises before any sample
+    is drawn, so a run of no samples cannot pass on it."""
+    obj, x = OBJECTIVE_PROBLEMS["sphere(3)"]()
+    with pytest.raises(ValueError, match="radius must be positive"):
+        check_descent(obj, (x, radius), n, 0.09, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="radius must be positive"):
+        S3.sample_tangent_ball(x, radius, np.random.default_rng(0))
