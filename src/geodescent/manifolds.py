@@ -4,6 +4,8 @@ Every manifold stores points in ambient coordinates: vectors for the sphere
 and Euclidean space, matrices with orthonormal columns for Grassmann,
 matrices with unit-norm rows for the oblique manifold.  The metric is the
 ambient Frobenius (dot) product restricted to tangent spaces in all cases.
+The oblique manifold is a product of spheres, so it runs the sphere's map
+bodies (`_UnitRows`) on its rows.
 
 `exp`, `log`, `dist`, `transport` and `project_tangent` also take a stack:
 Points and Tangents whose coords have shape (m,) + shape hold m samples, the
@@ -96,11 +98,6 @@ def _row(s: np.ndarray) -> np.ndarray:
     """Column factors s, shaped to scale a matrix's columns (a stack's s gets
     an axis); a third of the cost of `s[..., None, :]` on one matrix."""
     return s if s.ndim == 1 else s[:, None]
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """`np.linalg.norm(a, axis=-1, keepdims=True)`, same bits, no `conj()` copy."""
-    return np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
 
 
 def _norms(a: np.ndarray, nd: int = 1):
@@ -378,33 +375,22 @@ class Euclidean(Manifold):
         return Point(self, readonly(g))
 
 
-# libm's atan2 per element (np.arctan2 differs in the last bit); it returns a
-# Python float for scalars and an object array for arrays
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
+class _UnitRows:
+    """The unit-sphere maps, shared by `Sphere` and `Oblique`.
 
-
-class Sphere(Manifold):
-    """Unit sphere S^(n-1) in R^n.  Constant curvature 1, injectivity pi.
-
-    Each map has one body, written on the last axis, so that a single point
-    and a stack take the same arithmetic.  Its reductions are `np.vecdot`,
-    which rounds like `ndarray.dot`, and its angles libm's `atan2`, which
-    `np.arctan2` does not match in the last bit.
+    Each body is written once, on the last axis, with `np.vecdot` (which
+    rounds like `ndarray.dot`) and `np.arctan2`, so it acts alike on a sphere
+    point, on each row of an oblique point, and on a stack of either.  Under
+    `exp`, a row whose tangent norm is 0, also by underflow, keeps its point.
+    Not a `Manifold` subclass, so it is not listed as a manifold: it only
+    supplies methods.
     """
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        self.n = n
-        self.name = f"sphere({n})"
-        self.shape = (n,)
-        self._geometry = GeometryInfo(math.pi, n - 1)
-
     def feasibility_residual(self, coords):
-        return abs(_norm(coords) - 1.0)
+        return float(np.abs(np.sqrt(np.vecdot(coords, coords)) - 1.0).max())
 
     def tangency_residual(self, x, coords):
-        return abs(float(x.coords.dot(coords)))
+        return float(np.abs(np.vecdot(x.coords, coords)).max())
 
     def exp(self, x, v):
         self._check_base(x, v)
@@ -420,14 +406,13 @@ class Sphere(Manifold):
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):
-        """Per sample: the angle d from x to y, the cosine c = x.y unclamped,
-        u = y - c' x with c' = c clamped to [-1, 1], and |u|.  `Oblique._row_angles`
-        for one row."""
+        """Per row: the angle d from x to y, the cosine c = x.y unclamped,
+        u = y - c' x with c' = c clamped to [-1, 1], and |u|."""
         c = np.vecdot(x, y)
         cc = np.minimum(np.maximum(c, -1.0), 1.0)
         u = y - cc[..., None] * x
         s = np.sqrt(np.vecdot(u, u))
-        return np.float64(_atan2(s, cc)), c, u, s
+        return np.arctan2(s, cc), c, u, s
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -438,16 +423,15 @@ class Sphere(Manifold):
         return Tangent(x, readonly(np.where((s < 1e-300)[..., None], 0.0,
                                             (d / np.maximum(s, 1e-300))[..., None] * u)))
 
-    def dist(self, x, y):
-        self._check_pair(x, y)
-        return self._angle(x.coords, y.coords)[0]
-
     def transport(self, x, y, w):
         self._check_base(x, w)
-        self._check_point(y)
-        self._check_point(x)
+        self._check_pair(x, y)
         d, c, _, _ = self._angle(x.coords, y.coords)
         self._check_injectivity(d, "transport")
+        # x and y are unit only to FEAS_TOL, and near the cut locus 1 + x.y is
+        # as small as m^2 / 2: the cosine of the unit pair, x.y / |x||y|, keeps
+        # that off-unit error out of the division
+        c = c / np.sqrt(np.vecdot(x.coords, x.coords) * np.vecdot(y.coords, y.coords))
         xy = x.coords + y.coords
         out = w.coords - (np.vecdot(xy, w.coords) / (1.0 + c))[..., None] * xy
         # kill rounding in the normal direction
@@ -462,11 +446,31 @@ class Sphere(Manifold):
         return Point(self, readonly(g / np.sqrt(np.vecdot(g, g, keepdims=True))))
 
 
-class Oblique(Manifold):
+class Sphere(_UnitRows, Manifold):
+    """Unit sphere S^(n-1) in R^n.  Constant curvature 1, injectivity pi.
+
+    The maps are `_UnitRows`'s; the distance is the great-circle angle.
+    """
+
+    def __init__(self, n: int):
+        if n < 2:
+            raise ValueError("n must be >= 2")
+        self.n = n
+        self.name = f"sphere({n})"
+        self.shape = (n,)
+        self._geometry = GeometryInfo(math.pi, n - 1)
+
+    def dist(self, x, y):
+        self._check_pair(x, y)
+        return self._angle(x.coords, y.coords)[0]
+
+
+class Oblique(_UnitRows, Manifold):
     """Oblique manifold: d x p matrices with unit-norm rows.
 
-    Product of d unit spheres in R^p.  All maps act row by row; the distance
-    is the l2 combination of the per-row great-circle distances.
+    Product of d unit spheres in R^p, so the maps are `_UnitRows`'s, acting
+    row by row; the distance is the l2 combination of the per-row
+    great-circle distances.
     """
 
     def __init__(self, d: int, p: int):
@@ -479,64 +483,9 @@ class Oblique(Manifold):
         # injectivity of a product is the factor minimum
         self._geometry = GeometryInfo(math.pi, d * (p - 1))
 
-    def feasibility_residual(self, coords):
-        return float(np.max(np.abs(np.linalg.norm(coords, axis=1) - 1.0)))
-
-    def tangency_residual(self, x, coords):
-        return float(np.max(np.abs(np.sum(x.coords * coords, axis=1))))
-
-    def _row_angles(self, x: np.ndarray, y: np.ndarray):
-        """Per row: the angle from x to y, its cosine c, u = y - c x and |u|."""
-        c = np.minimum(np.maximum(np.add.reduce(x * y, axis=-1), -1.0), 1.0)
-        u = y - c[..., None] * x
-        s = _row_norms(u)[..., 0]
-        return np.arctan2(s, c), c, u, s
-
-    def exp(self, x, v):
-        self._check_base(x, v)
-        th = _row_norms(v.coords)
-        if th.max() == 0.0 and not v.coords.any():  # rows that underflow to th = 0 still step
-            return x
-        # Below th = 1e-9, cos(th) == 1.0 and sin(th) == th in float64, so
-        # those rows step to x + v exactly, with no mask.  A row whose norm
-        # underflows to 0 divides by the smallest normal instead, where
-        # sin(ts) / ts == 1.0 too.
-        ts = np.maximum(th, _TINY)
-        out = np.cos(th) * x.coords
-        out += (np.sin(ts) / ts) * v.coords
-        out /= _row_norms(out)
-        return Point(self, readonly(self._still(x, v, out)))
-
-    def log(self, x, y):
-        self._check_pair(x, y)
-        d_rows, _, u, s = self._row_angles(x.coords, y.coords)
-        self._check_injectivity(d_rows, "log")
-        factor = np.where(s > 1e-300, d_rows / np.where(s > 0, s, 1.0), 0.0)
-        return Tangent(x, readonly(factor[..., None] * u))
-
     def dist(self, x, y):
         self._check_pair(x, y)
-        return _norms(self._row_angles(x.coords, y.coords)[0])
-
-    def transport(self, x, y, w):
-        self._check_base(x, w)
-        self._check_pair(x, y)
-        d_rows, c, _, _ = self._row_angles(x.coords, y.coords)
-        self._check_injectivity(d_rows, "transport")
-        xy = x.coords + y.coords
-        coef = np.add.reduce(xy * w.coords, axis=-1) / (1.0 + c)
-        out = w.coords - coef[..., None] * xy
-        out -= np.add.reduce(y.coords * out, axis=-1)[..., None] * y.coords
-        return Tangent(y, readonly(out))
-
-    def project_tangent(self, x, a):
-        self._check_point(x)
-        a = self._as_ambient(a, shape=x.coords.shape)
-        dots = np.add.reduce(x.coords * a, axis=-1, keepdims=True)
-        return Tangent(x, readonly(a - dots * x.coords))
-
-    def _point_from(self, g):
-        return Point(self, readonly(g / _row_norms(g)))
+        return _norms(self._angle(x.coords, y.coords)[0])
 
 
 class Grassmann(Manifold):

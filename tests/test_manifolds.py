@@ -231,32 +231,65 @@ class TestObliqueExamples:
         assert math.isnan(man.dist(x, y))
 
 
+@pytest.mark.parametrize("m", [1.01e-4, 1e-3])
+def test_transport_of_an_off_unit_pair_near_the_cut_locus(m):
+    """x and y 9e-11 off unit norm, which `point` accepts, at angle pi - m:
+    transport stays within 1e-6 |w| of the unit pair's, on the sphere and on
+    an oblique row.  Dividing by the unnormalised 1 + x.y was 7% off at
+    m = 1.01e-4 and 0.07% off at m = 1e-3."""
+    scale = 1.0 + 9e-11
+    x, y = np.array([1.0, 0.0, 0.0]), np.array([-math.cos(m), math.sin(m), 0.0])
+    w, e3 = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    # the oblique case adds a second row, fixed at e3 with a zero tangent
+    for man, lift in ((S3, lambda r, _: r), (Oblique(2, 3), lambda r, other: np.stack([r, other]))):
+        def transport(xc, yc):
+            xp = man.point(lift(xc, e3))
+            return man.transport(xp, man.point(lift(yc, e3)), man.tangent(xp, lift(w, 0.0 * e3))).coords
+
+        err = np.linalg.norm(transport(scale * x, scale * y) - transport(x, y))
+        assert err <= 1e-6 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (7, 3), (100, 20)])
+def test_oblique_maps_are_the_sphere_maps_on_its_rows(shape):
+    """The oblique manifold is a product of spheres: its maps are `Sphere(p)`'s
+    on the d rows taken as a stack, bit for bit, and its `dist` is the l2 norm
+    of the row distances.  Each draw has a zero or a 1e-12 tangent row."""
+    man = Oblique(*shape)
+    d, p = shape
+    sphere = Sphere(p)
+    for k in range(20):
+        rng = np.random.default_rng([d, p, k])
+        x = man.random_point(rng)
+        norms = rng.choice([0.0, 1e-12, 0.3, 2.0, 3.1], size=d)
+        norms[0] = (0.0, 1e-12)[k % 2]
+        v = oblique_tangent(man, x, norms, rng)
+        w = oblique_tangent(man, x, rng.uniform(0.1, 2.0, d), rng)
+        a = rng.standard_normal(shape)
+        rows = Point(sphere, x.coords)
+        for y in (man.random_point(rng), man.exp(x, v), x):
+            y_rows = Point(sphere, y.coords)
+            pairs = [(man.exp(x, v).coords, sphere.exp(rows, Tangent(rows, v.coords)).coords),
+                     (man.log(x, y).coords, sphere.log(rows, y_rows).coords),
+                     (man.transport(x, y, w).coords,
+                      sphere.transport(rows, y_rows, Tangent(rows, w.coords)).coords),
+                     (man.project_tangent(x, a).coords, sphere.project_tangent(rows, a).coords),
+                     (man.dist(x, y), manifolds._norms(sphere.dist(rows, y_rows)))]
+            for got, want in pairs:
+                assert np.array_equal(bits(got), bits(want))
+
+
 def parent_oblique_exp(x, v):
-    """`Oblique.exp` as written before the one-branch kernel: the reference."""
-    if not np.any(v):
-        return x
-    th = np.linalg.norm(v, axis=1, keepdims=True)
-    safe = np.where(th > 0, th, 1.0)
-    small = th < 1e-9
-    out = np.where(small, x + v, np.cos(th) * x + (np.sin(th) / safe) * v)
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return out
+    """The oblique maps are the sphere maps on each row: the reference."""
+    return np.stack([parent_sphere_exp(xr, vr) for xr, vr in zip(x, v)])
 
 
 def parent_oblique_dist(x, y):
-    c = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
-    s = np.linalg.norm(y - c[:, None] * x, axis=1)
-    return float(np.linalg.norm(np.arctan2(s, c)))
+    return float(np.linalg.norm([parent_sphere_dist(xr, yr) for xr, yr in zip(x, y)]))
 
 
 def parent_oblique_log(x, y):
-    """`Oblique.log` as written before it shared `_row_angles`: the reference."""
-    c = np.clip(np.sum(x * y, axis=1), -1.0, 1.0)
-    u = y - c[:, None] * x
-    s = np.linalg.norm(u, axis=1)
-    d_rows = np.arctan2(s, c)
-    factor = np.where(s > 1e-300, d_rows / np.where(s > 0, s, 1.0), 0.0)
-    return factor[:, None] * u
+    return np.stack([parent_sphere_log(xr, yr) for xr, yr in zip(x, y)])
 
 
 def oblique_tangent(man, x, row_norms, rng):
@@ -266,7 +299,7 @@ def oblique_tangent(man, x, row_norms, rng):
 
 
 def parent_sphere_exp(x, v):
-    """`Sphere.exp` as written before the lean kernels: the reference, like
+    """`Sphere.exp` written for one point in scalar steps: the reference, like
     the `parent_sphere_*` and `parent_grassmann_*` functions below."""
     if not np.any(v):
         return x
@@ -284,7 +317,7 @@ def parent_sphere_log(x, y):
     c = float(np.clip(np.dot(x, y), -1.0, 1.0))
     u = y - c * x
     s = float(np.linalg.norm(u))
-    d = math.atan2(s, c)
+    d = float(np.arctan2(s, c))
     if not d < math.pi - CUT_MARGIN:  # a NaN distance fails the guard too
         raise GeometryError(
             f"log undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of sphere({x.size})"
@@ -297,7 +330,7 @@ def parent_sphere_log(x, y):
 def parent_sphere_dist(x, y):
     c = float(np.clip(np.dot(x, y), -1.0, 1.0))
     s = float(np.linalg.norm(y - c * x))
-    return math.atan2(s, c)
+    return float(np.arctan2(s, c))
 
 
 def parent_sphere_transport(name, x, y, w):
@@ -306,7 +339,7 @@ def parent_sphere_transport(name, x, y, w):
         raise GeometryError(
             f"transport undefined: distance {d:.6g} >= injectivity radius {math.pi:.6g} of {name}"
         )
-    c = float(np.dot(x, y))
+    c = float(np.dot(x, y)) / math.sqrt(float(np.dot(x, x)) * float(np.dot(y, y)))
     xy = x + y
     out = w - (np.dot(xy, w) / (1.0 + c)) * xy
     return out - np.dot(y, out) * y
@@ -427,14 +460,15 @@ class TestLeanKernelsSameBits:
 
     def test_exp_rows_whose_norm_underflows(self):
         """A row of scale 1e-170 or 1e-300 has a row norm of 0.0 but is not zero;
-        when every row is like that, exp still steps instead of returning x."""
+        such a row keeps its point, as a sphere point does, so when every row
+        is like that, exp returns x itself."""
         for k in range(self.DRAWS):
             man, x, rng = self.draw(k)
             tiny = rng.choice([1e-170, 1e-300])
             v = oblique_tangent(man, x, np.full(man.d, tiny), rng)
-            assert v.coords.all() and not manifolds._row_norms(v.coords).any()
-            y = man.exp(x, v)
-            assert y is not x and np.array_equal(y.coords, parent_oblique_exp(x.coords, v.coords))
+            assert v.coords.all() and not np.sqrt(np.vecdot(v.coords, v.coords)).any()
+            assert man.exp(x, v) is x
+            assert np.array_equal(parent_oblique_exp(x.coords, v.coords), x.coords)
             v = oblique_tangent(man, x, rng.choice([0.0, tiny, 1e-12, 0.3, 2.0], size=man.d), rng)
             assert np.array_equal(man.exp(x, v).coords, parent_oblique_exp(x.coords, v.coords))
 
@@ -460,8 +494,8 @@ class TestLeanKernelsSameBits:
             assert (np.cos(a) == 1.0).all() and (np.sin(a) == a).all()
 
     def test_exp_nan_row_leaves_exactly_zero_rows_finite(self):
-        """A NaN row does not spoil the other rows: exactly-zero rows step to
-        x/|x|, as with a finite tangent and as in `parent_oblique_exp`.  (The
+        """A NaN row does not spoil the other rows: exactly-zero rows keep
+        their point, as with a finite tangent and as in `parent_oblique_exp`.  (The
         masked kernel before this one skipped its small-row branch when a NaN
         made `th.min()` NaN, and gave those rows sin(0)/0 = NaN.)"""
         man = Oblique(3, 2)
@@ -1148,8 +1182,9 @@ def test_host_facts_the_stacked_bodies_rely_on():
     """The stacked bodies reproduce the scalar ones only while these hold.  A
     numpy or CPU change that breaks one should fail here, not shift report
     bytes: np.vecdot rounds like ndarray.dot (both BLAS ddot), numpy's cos
-    and sin round like libm's, and np.arctan2 does not round like libm's
-    atan2 everywhere, which is why the stacked paths call libm for it."""
+    and sin round like libm's, and np.arctan2 gives an element the same
+    bits whether it is called on it alone, in a chunk of 3 or on the whole
+    array, so a sphere point, an oblique point's rows and a stack agree."""
     rng = np.random.default_rng(0)
     for n in (2, 3, 20):
         a, b = rng.standard_normal((2, 20000, n))
@@ -1158,6 +1193,7 @@ def test_host_facts_the_stacked_bodies_rely_on():
     assert np.array_equal(bits(np.cos(t)), bits([math.cos(v) for v in t]))
     assert np.array_equal(bits(np.sin(t)), bits([math.sin(v) for v in t]))
     s, c = rng.random(20000), rng.uniform(-1.0, 1.0, 20000)
-    libm = bits([math.atan2(p, q) for p, q in zip(s, c)])
-    assert np.array_equal(bits(manifolds._atan2(s, c).astype(float)), libm)
-    assert not np.array_equal(bits(np.arctan2(s, c)), libm)
+    whole = bits(np.arctan2(s, c))
+    assert np.array_equal(bits([np.arctan2(float(p), float(q)) for p, q in zip(s, c)]), whole)
+    assert np.array_equal(bits(np.concatenate([np.arctan2(s[i:i + 3], c[i:i + 3])
+                                               for i in range(0, len(s), 3)])), whole)
