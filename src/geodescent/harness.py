@@ -193,6 +193,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"finite positive values, got {cfg.scales}")
         require(cfg.probe_steps >= 1,
                 f"line {seen.get('probe_steps')}: probe_steps must be >= 1, got {cfg.probe_steps}")
+        require(cfg.diag is None or cfg.manifold in ("oblique", "grassmann")
+                or len(cfg.diag) == cfg.n, f"line {seen.get('diag')}: diag must have n = {cfg.n} "
+                f"entries on {cfg.manifold}, got {len(cfg.diag or ())}")
     if cfg.mode == "theory" and cfg.experiment != "verify":
         require(cfg.f_gap is not None, "theory mode requires 'f_gap'")
         require(cfg.beta is not None, "theory mode requires 'beta'")

@@ -101,11 +101,8 @@ def _row(s: np.ndarray) -> np.ndarray:
 
 
 def _norms(a: np.ndarray, nd: int = 1):
-    """`_norm` of each sample of a stack whose samples have `nd` axes, same
-    bits (`np.vecdot` and `ndarray.dot` both call BLAS ddot); for a single
-    sample, its `_norm`."""
-    if a.ndim == nd:
-        return _norm(a)
+    """`_norm` of each sample of a stack whose samples have `nd` axes, or of one
+    sample, same bits (`np.vecdot` and `ndarray.dot` both call BLAS ddot)."""
     a = a.reshape(a.shape[:a.ndim - nd] + (-1,))
     return np.sqrt(np.vecdot(a, a))
 
@@ -493,7 +490,7 @@ class Grassmann(Manifold):
 
     Points are orthonormal n x k representatives; tangents satisfy X^T V = 0.
     Exp and log are closed forms through the thin SVD of the tangent, and
-    parallel transport along geodesics is exact (and therefore isometric).
+    parallel transport along geodesics is exact, so isometric, in one formula.
 
     The curvature bound is 2 and the injectivity radius pi/2.
     """
@@ -538,35 +535,16 @@ class Grassmann(Manifold):
         return _norms(principal_angles(x.coords, y.coords))
 
     def transport(self, x, y, w):
+        """w moved along the geodesic of velocity log(x, y) = u diag(s) vt (Edelman,
+        Arias and Smith 1998, Thm 2.4), for a velocity of any rank: every singular
+        direction is kept, and one with s = 0 adds exactly nothing."""
         self._check_base(x, w)
         self._check_point(y)
-        xi = self.log(x, y)  # enforces the injectivity precondition
-        u, s, vt = _svd(xi.coords)
-        keep = s > 1e-14
-        if x.coords.ndim == 2:
-            if not keep.any():
-                return Tangent(y, w.coords)
-            return Tangent(y, readonly(self._turn(x.coords, y.coords, w.coords,
-                                                  u[:, keep], s[keep], vt[keep])))
-        # s descends, so a sample keeps its first r directions.  Samples are
-        # grouped by r, so each gets the arrays, and the bits, of a single
-        # pair; a sample that keeps none returns w as is.
-        out = w.coords.copy()
-        kept = keep.sum(axis=1)
-        for r in np.unique(kept[kept > 0]):
-            i, cols = kept == r, np.arange(self.k) < r
-            out[i] = self._turn(x.coords[i], y.coords[i], w.coords[i],
-                                u[i][..., cols], s[i][:, cols], vt[i][:, cols])
-        return Tangent(y, readonly(out))
-
-    @staticmethod
-    def _turn(x, y, w, u, s, vt):
-        """w transported from x to y along the geodesic whose velocity has the
-        thin SVD u diag(s) vt."""
+        u, s, vt = _svd(self.log(x, y).coords)  # log enforces the injectivity precondition
         s = _row(s)
-        uw = u.mT @ w
-        out = w + (u * (np.cos(s) - 1.0)) @ uw - (x @ (vt.mT * np.sin(s))) @ uw
-        return out - y @ (y.mT @ out)
+        uw = u.mT @ w.coords
+        out = w.coords + (u * (np.cos(s) - 1.0)) @ uw - (x.coords @ (vt.mT * np.sin(s))) @ uw
+        return Tangent(y, readonly(out - y.coords @ (y.coords.mT @ out)))
 
     def project_tangent(self, x, a):
         self._check_point(x)

@@ -18,6 +18,7 @@ from .manifolds import (
     Sphere,
     Tangent,
     _norm,
+    _norms,
     readonly,
 )
 
@@ -144,9 +145,10 @@ class BurerMonteiro(_QuadraticForm):
         self.manifold = Oblique(len(self.a), p)
 
 
-def default_fd_step(x: Point, v: Tangent) -> float:
-    """Central-difference step balancing truncation against rounding."""
-    return EPS_MACH ** (1.0 / 3.0) * (1.0 + _norm(x.coords)) / (1.0 + v.norm())
+def default_fd_step(x: Point, v: Tangent):
+    """Central-difference step balancing truncation against rounding, one per sample."""
+    nd = len(x.manifold.shape)
+    return EPS_MACH ** (1.0 / 3.0) * (1.0 + _norms(x.coords, nd)) / (1.0 + _norms(v.coords, nd))
 
 
 def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) -> Tangent:
@@ -155,26 +157,22 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     Transports the gradients at exp(x, +-s v) back to x along the geodesic and
     differences them:  [G(+s) - G(-s)] / (2 s), projected onto the tangent
     space at x.  Exact-Hessian objectives are still differenced here; use
-    `Objective.exact_hess` for the closed form.  A stack is differenced one
-    sample at a time.
+    `Objective.exact_hess` for the closed form.  A stack is differenced in one
+    pass, each sample with its own default step, and gets the bits of its
+    single-point calls; a zero tangent maps to +0.0.
     """
     man = obj.manifold
     man._check_base(x, v)
-    if v.coords.ndim > len(man.shape):
-        points = [Point(man, c) for c in x.coords]
-        return Tangent(x, readonly(np.array(
-            [hess_vec(obj, p, Tangent(p, c), step).coords for p, c in zip(points, v.coords)])))
     if not v.coords.any():
         return Tangent(x, readonly(np.zeros_like(v.coords)))
     s = default_fd_step(x, v) if step is None else float(step)
-    if s <= 0:
+    if np.any(s <= 0):
         raise ValueError(f"step must be positive, got {s}")
-    man._check_injectivity(s * v.norm(), "hess_vec")
-    x_plus = man.exp(x, Tangent(x, readonly(s * v.coords)))
-    x_minus = man.exp(x, Tangent(x, readonly(-s * v.coords)))
-    g_plus = man.transport(x_plus, x, obj.rgrad(x_plus))
-    g_minus = man.transport(x_minus, x, obj.rgrad(x_minus))
-    return man.project_tangent(x, (g_plus.coords - g_minus.coords) / (2.0 * s))
+    man._check_injectivity(s * _norms(v.coords, len(man.shape)), "hess_vec")
+    s = np.reshape(s, np.shape(s) + (1,) * len(man.shape))  # shaped to scale each sample
+    ends = [man.exp(x, Tangent(x, readonly(t * v.coords))) for t in (s, -s)]
+    g_plus, g_minus = (man.transport(p, x, obj.rgrad(p)).coords for p in ends)
+    return man.project_tangent(x, (g_plus - g_minus) / (2.0 * s))
 
 
 def unit_tangent(man: Manifold, x: Point, rng: np.random.Generator) -> Tangent:
@@ -214,7 +212,7 @@ def min_hess_eig(obj: Objective, x: Point, tol: float, rng: np.random.Generator,
         Issues a warning and returns the current Ritz pair if `max_iters`
         steps, fewer than the dimension, end with the residual above `tol`.
     """
-    if tol <= 0:
+    if not tol > 0:  # a NaN tol fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters}")

@@ -388,12 +388,13 @@ def classify_stationarity(gradnorm: float, lambda_min: float, epsilon: float,
 
     A point with gradient norm <= epsilon is a saddle when the smallest
     Hessian eigenvalue is <= -sqrt(rho_hat * epsilon); boundary equalities
-    resolve toward `saddle`.
+    resolve toward `saddle`.  A NaN never certifies: it makes a point
+    non-stationary or a saddle, or, in epsilon or rho_hat, raises.
     """
-    if epsilon <= 0 or rho_hat <= 0:
+    if not (epsilon > 0 and rho_hat > 0):
         raise ValueError("epsilon and rho_hat must be positive")
-    if gradnorm > epsilon:
+    if not gradnorm <= epsilon:
         return "non-stationary"
-    if lambda_min <= -math.sqrt(rho_hat * epsilon):
+    if not lambda_min > -math.sqrt(rho_hat * epsilon):
         return "saddle"
     return "second-order"

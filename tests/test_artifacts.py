@@ -1,0 +1,55 @@
+"""The shipped configs write the same bytes as when these digests were pinned.
+
+A change that alters an artifact's bytes on purpose updates its digest here
+and says so in CHANGES.md; any other change must leave them all alone.  The
+kpca run goes through Grassmann SVDs and QRs and BLAS matrix products, so its
+digests hold on the host that pinned them (numpy 2.4, x86-64 OpenBLAS).
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from geodescent.harness import load_config, run_experiment
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# config, seed, {file: sha256}
+PINNED = {
+    "figure1-seed-7": ("figure1.cfg", 7, {
+        "trace.csv": "3016c0db2c1621a7c95fee1a7b258313e8dd9824893ba73f6a52423d6debb58d",
+        "summary.txt": "dc80690a2a787e578121fde5121118c637ebc2af65527e1679efe9bd16a3fca8",
+        "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
+    }),
+    "kpca-seed-0": ("kpca.cfg", 0, {
+        "trace.csv": "81646cac2640712feb1f2c36f8194a9b6716ae514ac58b34cd2f1d1aa416dc8f",
+        "summary.txt": "d6537104f8eb7b335e2f1e493339a08a777176387ebc8790eb4e7e45f39ceaaa",
+        "final_point.txt": "456af57061e7ab451a747493b40b46798ea7f22381c5c80809b4281bf63d9c82",
+    }),
+    "verify-seed-0": ("verify.cfg", 0, {
+        "report_coupling.txt": "f6c3861d379a2675747731c7241510293d07257bf0f99466ad44cfd7b8ba06ce",
+        "report_descent-negative-control.txt":
+            "24ada05d0d11e1381d0576ccab58bef6b1dbf67d14a568793409ac19e58ce264",
+        "report_descent.txt": "8cb9bc89449b2fdfa92cdd49095d13639cc24666432c51576f396b7df4133aa7",
+        "report_gradient-taylor.txt": "8b45f22fe9483e761dc825ab18afbaeb34c9fa5448b154925e03fbcf8bd89211",
+        "report_holonomy.txt": "9c74e42013918ec765027b0d165317a2d14902fe5682496cbdbcd0732884df28",
+        "report_linearization.txt": "60aa38696ae363bbf2f17f15efd4ac2efdebf4c0151572026da0451afd7b705d",
+        "report_log-bilipschitz.txt": "a8c655825fd7b192fbfeac7592e87dd97aab577e31fef45f4687cd9b129aedf1",
+        "report_transport-contraction.txt":
+            "a630acf32ef171ee24317b84cd651ed0ccb338aeb76c1006f3cf332c9deb88a3",
+        "report_two-step.txt": "cf2ffa3fcf7ae6005dabca5431d06abcb02db6550a2ccb26f0402ffd64ce133e",
+    }),
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED))
+def test_shipped_run_writes_the_pinned_bytes(run, tmp_path):
+    config, seed, want = PINNED[run]
+    out = run_experiment(load_config(os.path.join(ROOT, "configs", config)),
+                         out_dir=str(tmp_path), seed=seed)
+    assert out.exit_code == 0
+    written = {p.name for p in tmp_path.iterdir() if p.name.startswith("report_")}
+    assert written <= set(want)  # a verify run pins every report it writes
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want

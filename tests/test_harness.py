@@ -1,4 +1,3 @@
-import hashlib
 import math
 import os
 import subprocess
@@ -285,6 +284,16 @@ class TestRunExperiment:
         for path in reports:
             assert "passed = true" in path.read_text().splitlines(), path.name
 
+    def test_verify_without_diag_skips_the_objective_checks(self, tmp_path):
+        """With no `diag`, a sphere whose n is not 3 has no objective: the four
+        objective checks are skipped and the geometric ones still run."""
+        cfg = parse_config("experiment = verify\nseed = 7\nmanifold = sphere\nn = 4\n"
+                           "n_samples = 50\n")
+        out = run_experiment(cfg, out_dir=str(tmp_path / "v"))
+        assert out.exit_code == 0
+        assert sorted(m.split(":")[0] for m in out.messages if "skipped" in m) == \
+            ["coupling", "descent", "gradient-taylor", "linearization"]
+
     def test_shipped_verify_config_passes_at_seed_0(self, tmp_path):
         # the descent audit steps at 0.9/beta with beta = 2 (4 - (-1)) = 10,
         # the gradient Lipschitz constant of x^T diag(1, -1, 4) x on the sphere
@@ -338,26 +347,6 @@ class TestDescribeThresholds:
         text = describe_thresholds(cfg)
         assert "mode = theory" in text
         assert "chi = " in text
-
-
-# SHA-256 of the files `geodescent run configs/figure1.cfg --seed 7` writes, as
-# written while the trace still held one row object per step.  Figure 1 runs
-# on sphere(3), so no BLAS matrix product enters these bytes.
-FIGURE1_SEED7_SHA256 = {
-    "trace.csv": "3016c0db2c1621a7c95fee1a7b258313e8dd9824893ba73f6a52423d6debb58d",
-    "summary.txt": "dc80690a2a787e578121fde5121118c637ebc2af65527e1679efe9bd16a3fca8",
-    "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
-}
-
-
-def test_figure1_seed_7_writes_the_same_bytes(tmp_path):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = load_config(os.path.join(root, "configs", "figure1.cfg"))
-    out = run_experiment(cfg, out_dir=str(tmp_path), seed=7)
-    assert out.exit_code == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in FIGURE1_SEED7_SHA256}
-    assert got == FIGURE1_SEED7_SHA256
 
 
 def test_readme_library_example_runs():
@@ -448,13 +437,18 @@ class TestCli:
          f"problem setup failed: {NAN_MATRIX}: non-finite entry"),
         ("run", f"experiment = burer-monteiro\nseed = 7\np = 2\na_file = {NAN_MATRIX}\n", [],
          f"problem setup failed: {NAN_MATRIX}: non-finite entry"),
+        ("verify", "experiment = verify\nseed = 7\nmanifold = sphere\nn = 4\ndiag = 1, -1, 4\n", [],
+         "line 5: diag must have n = 4 entries on sphere, got 3"),
+        ("verify", "experiment = verify\nseed = 7\nmanifold = euclidean\ndiag = 1, 2\n", [],
+         "line 4: diag must have n = 3 entries on euclidean, got 2"),
     ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
             "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps",
             "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan", "beta-negative", "rho-nan",
             "rho_hat-0", "eta-inf", "r-nan", "g_thres-nan", "f_thres-inf", "f_gap-negative",
             "delta-0", "max_iters-negative", "t_thres-0",
             "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d",
-            "x0-nan", "thresholds-x0-infeasible", "kpca-h_file-nan", "bm-a_file-nan"])
+            "x0-nan", "thresholds-x0-infeasible", "kpca-h_file-nan", "bm-a_file-nan",
+            "verify-sphere-diag-length", "verify-euclidean-diag-length"])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

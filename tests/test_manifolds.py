@@ -26,7 +26,7 @@ from geodescent import (
     manifolds,
     objectives,
 )
-from geodescent.manifolds import CUT_MARGIN
+from geodescent.manifolds import CUT_MARGIN, TANGENT_TOL
 
 import oracles
 
@@ -387,6 +387,16 @@ def parent_grassmann_log(name, x, y):
 
 
 def parent_grassmann_transport(name, x, y, w):
+    u, s, vt = np.linalg.svd(parent_grassmann_log(name, x, y), full_matrices=False)
+    uw = u.T @ w
+    out = w + (u * (np.cos(s) - 1.0)) @ uw - (x @ (vt.T * np.sin(s))) @ uw
+    return out - y @ (y.T @ out)
+
+
+def keep_rule_grassmann_transport(name, x, y, w):
+    """`parent_grassmann_transport` with the singular directions of log(x, y)
+    at most 1e-14 dropped, and w returned as is when none is left: the rule
+    that the one formula replaced."""
     u, s, vt = np.linalg.svd(parent_grassmann_log(name, x, y), full_matrices=False)
     keep = s > 1e-14
     if not np.any(keep):
@@ -1147,27 +1157,68 @@ class TestStacks:
 
     @pytest.mark.parametrize("shape", [(4, 2), (5, 3), (7, 3)])
     def test_grassmann_pairs_with_a_zero_principal_angle(self, shape):
-        """Subspaces sharing a direction: transport drops that direction per
-        sample, and a pair sharing every direction returns w as is."""
+        """Subspaces sharing a direction, and a pair sharing every direction:
+        transport keeps every singular direction, so each sample, in a stack
+        or alone, gets the reference formula's bits."""
         man = Grassmann(*shape)
-        n, k = shape
+        k = shape[1]
         rng = np.random.default_rng(k)
-        xs, ys = [], []
-        for i in range(6):
-            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-            theta = rng.uniform(0.1, 1.0, k) * (np.arange(k) > 0)  # first angle 0
-            if i == 5:
-                theta[:] = 0.0  # the same subspace, another basis
-            xs.append(Point(man, q[:, :k]))
-            away = np.concatenate([np.zeros((n, 1)), q[:, k:2 * k - 1]], axis=1)
-            y = q[:, :k] * np.cos(theta) + away * np.sin(theta)
-            ys.append(Point(man, manifolds._qr_sign_fixed(y @ np.linalg.qr(rng.standard_normal((k, k)))[0])))
+        xs, ys = zip(*(shared_direction_pair(man, rng, same=i == 5) for i in range(6)))
         ws = [scaled_tangent(man, x, 0.5, rng) for x in xs]
         kept = [(np.linalg.svd(man.log(x, y).coords, compute_uv=False) > 1e-14).sum()
                 for x, y in zip(xs, ys)]
         assert kept == [k - 1] * 5 + [0]
-        assert np.array_equal(man.transport(xs[5], ys[5], ws[5]).coords, ws[5].coords)
+        assert np.array_equal(man.transport(xs[5], ys[5], ws[5]).coords, parent_grassmann_transport(
+            man.name, xs[5].coords, ys[5].coords, ws[5].coords))
         self.assert_stacked_maps(man, xs, ws, ys, ws, [rng.standard_normal(shape) for _ in xs])
+
+
+def shared_direction_pair(man, rng, same=False):
+    """x and a y sharing x's first direction, at random principal angles from
+    x in the others, or, if `same`, spanning x's subspace; y is written in
+    another orthonormal basis of its span."""
+    n, k = man.shape
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    theta = rng.uniform(0.1, 1.0, k) * (np.arange(k) > 0)  # first angle 0
+    if same:
+        theta[:] = 0.0
+    away = np.concatenate([np.zeros((n, 1)), q[:, k:2 * k - 1]], axis=1)
+    y = q[:, :k] * np.cos(theta) + away * np.sin(theta)
+    return Point(man, q[:, :k]), Point(man, manifolds._qr_sign_fixed(
+        y @ np.linalg.qr(rng.standard_normal((k, k)))[0]))
+
+
+@pytest.mark.parametrize("pairs", ["from-exp", "shared-direction"])
+def test_grassmann_transport_keeps_every_singular_direction(pairs):
+    """On Grassmann(5, 3), where log(x, y) has rank at most 2, and on pairs
+    sharing one or every direction, the one formula differs from the keep
+    rule (`keep_rule_grassmann_transport`) by rounding only, and its result
+    is tangent at y and as long as w."""
+    man = Grassmann(5, 3)
+    rng = np.random.default_rng(24)
+    xs, ys = [], []
+    for i in range(30):
+        if pairs == "from-exp":
+            x = man.random_point(rng)
+            v = scaled_tangent(man, x, rng.uniform(0.1, 1.2), rng)
+            if i % 3 == 0:  # a rank-one velocity
+                a = man.project_tangent(x, rng.standard_normal((5, 1)) * np.ones((1, 3))).coords
+                v = Tangent(x, 0.7 * a / np.linalg.norm(a))
+            y = man.exp(x, v)
+        else:
+            x, y = shared_direction_pair(man, rng, same=i % 5 == 0)
+        xs.append(x)
+        ys.append(y)
+    ws = [scaled_tangent(man, x, rng.uniform(0.1, 2.0), rng) for x in xs]
+    X = Point(man, stack(man, xs))
+    got = man.transport(X, Point(man, stack(man, ys)), Tangent(X, stack(man, ws))).coords
+    for x, y, w, g in zip(xs, ys, ws, got):
+        assert (np.linalg.svd(man.log(x, y).coords, compute_uv=False) <= 1e-14).any()
+        wn = np.linalg.norm(w.coords)
+        ref = keep_rule_grassmann_transport(man.name, x.coords, y.coords, w.coords)
+        assert np.abs(g - ref).max() <= 1e-14 * wn
+        assert man.tangency_residual(y, g) <= TANGENT_TOL
+        assert abs(np.linalg.norm(g) - wn) <= 1e-12
 
 
 def scaled_tangent_rows(man, x, norm, rng):

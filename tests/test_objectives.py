@@ -268,6 +268,20 @@ def test_stacked_calls_give_each_sample_its_single_point_bits(name):
             hess_vec(obj, x, v, step=100.0)
 
 
+def test_hess_vec_differences_a_stack_in_one_pass(monkeypatch):
+    """A stack of 50 KPCA points takes one exp per sign, not one per sample."""
+    obj = KPCA(random_symmetric(5, 0), 3)
+    man = obj.manifold
+    rng = np.random.default_rng(12)
+    xs = [man.random_point(rng) for _ in range(50)]
+    x = Point(man, np.array([p.coords for p in xs]))
+    v = Tangent(x, np.array([man.sample_tangent_ball(p, 0.5, rng).coords for p in xs]))
+    calls, real = [], man.exp
+    monkeypatch.setattr(man, "exp", lambda *a: calls.append(a) or real(*a))
+    hess_vec(obj, x, v)
+    assert len(calls) == 2
+
+
 class TestHessOperator:
     """`hess_operator` takes the closed form exactly when `exact_hess` is
     defined, and central differences (`hess_vec`) otherwise."""
@@ -388,6 +402,11 @@ class TestMinHessEig:
     def test_bad_tol(self):
         with pytest.raises(ValueError, match="tol"):
             min_hess_eig(fig_objective(), saddle_point(), 0.0, np.random.default_rng(0))
+
+    def test_nan_tol(self):
+        """A NaN tolerance raises instead of running to `max_iters` and warning."""
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            min_hess_eig(fig_objective(), saddle_point(), math.nan, np.random.default_rng(0))
 
     def test_bad_max_iters(self):
         with pytest.raises(ValueError, match="max_iters"):

@@ -561,3 +561,17 @@ class TestClassify:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             classify_stationarity(0.0, 0.0, -1.0, 8.0)
+
+    @pytest.mark.parametrize("args, want", [
+        ((0.0, math.nan, 1e-4, 1.0), "saddle"),
+        ((math.nan, 4.0, 1e-4, 1.0), "non-stationary"),
+        ((math.nan, math.nan, 1e-4, 1.0), "non-stationary"),
+        ((0.0, 4.0, math.nan, 1.0), ValueError),
+        ((0.0, 4.0, 1e-4, math.nan), ValueError),
+    ], ids=["lambda", "gradnorm", "both", "epsilon", "rho_hat"])
+    def test_nan_never_certifies(self, args, want):
+        if want is ValueError:
+            with pytest.raises(ValueError, match="must be positive"):
+                classify_stationarity(*args)
+        else:
+            assert classify_stationarity(*args) == want
