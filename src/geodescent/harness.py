@@ -288,8 +288,8 @@ def _build_problem(cfg: ExperimentConfig, rng_data: np.random.Generator):
             burer_monteiro_instance(cfg.dim_d, cfg.p, cfg.block, rng_data)
         obj = BurerMonteiro(a, cfg.p)
         x0 = Point(obj.manifold, burer_monteiro_start(a.shape[0], cfg.p))
-        extras["f0"] = obj.value(x0)
-        extras["grad0_norm"] = obj.rgrad(x0).norm()
+        extras["f0"], g0 = obj.value_and_rgrad(x0)
+        extras["grad0_norm"] = g0.norm()
     else:
         raise ValueError(f"not an optimization experiment: {cfg.experiment}")
     feas = obj.manifold.feasibility_residual(x0.coords)

@@ -221,7 +221,11 @@ class Manifold:
     # -- core maps ------------------------------------------------------
 
     def exp(self, x: Point, v: Tangent) -> Point:
-        raise NotImplementedError
+        """exp_x(v), checked here once around the manifold's unchecked kernel
+        `_exp(x, v)` on coordinates; x comes back as is where the kernel returns x."""
+        self._check_base(x, v)
+        y = self._exp(x.coords, v.coords)
+        return x if y is x.coords else Point(self, y)
 
     def log(self, x: Point, y: Point) -> Tangent:
         raise NotImplementedError
@@ -233,7 +237,10 @@ class Manifold:
         raise NotImplementedError
 
     def project_tangent(self, x: Point, a) -> Tangent:
-        raise NotImplementedError
+        """The ambient array `a` projected onto the tangent space at x, checked
+        here once around the manifold's unchecked kernel `_project(x, a)`."""
+        self._check_point(x)
+        return Tangent(x, self._project(x.coords, self._as_ambient(a, shape=x.coords.shape)))
 
     def inner(self, x: Point, u: Tangent, v: Tangent) -> float:
         """Riemannian inner product: the ambient Frobenius product."""
@@ -276,13 +283,13 @@ class Manifold:
         of them)."""
         raise NotImplementedError
 
-    def _still(self, x: Point, v: Tangent, y: np.ndarray) -> np.ndarray:
+    def _still(self, x: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
         """`y`, except that a stack's samples whose tangent is exactly zero keep
         their point, as a single-point `exp` returns x itself."""
         if y.ndim == len(self.shape):
             return y
-        moved = v.coords.reshape(len(y), -1).any(axis=1)
-        return readonly(np.where(moved.reshape((-1,) + (1,) * len(self.shape)), y, x.coords))
+        moved = v.reshape(len(y), -1).any(axis=1)
+        return readonly(np.where(moved.reshape((-1,) + (1,) * len(self.shape)), y, x))
 
     # -- internal checks -------------------------------------------------
 
@@ -344,11 +351,10 @@ class Euclidean(Manifold):
     def tangency_residual(self, x, coords):
         return 0.0
 
-    def exp(self, x, v):
-        self._check_base(x, v)
-        if not v.coords.any():
+    def _exp(self, x, v):
+        if not np.count_nonzero(v):
             return x
-        return Point(self, readonly(self._still(x, v, x.coords + v.coords)))
+        return readonly(self._still(x, v, x + v))
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -363,10 +369,8 @@ class Euclidean(Manifold):
         self._check_pair(x, y)
         return Tangent(y, w.coords)
 
-    def project_tangent(self, x, a):
-        self._check_point(x)
-        a = self._as_ambient(a, shape=x.coords.shape)
-        return Tangent(x, a)
+    def _project(self, x, a):
+        return a
 
     def _point_from(self, g):
         return Point(self, readonly(g))
@@ -389,17 +393,19 @@ class _UnitRows:
     def tangency_residual(self, x, coords):
         return float(np.abs(np.vecdot(x.coords, coords)).max())
 
-    def exp(self, x, v):
-        self._check_base(x, v)
-        th = np.sqrt(np.vecdot(v.coords, v.coords, keepdims=True))
-        if not th.any():  # zero tangents, or ones whose norm underflows
+    def _exp(self, x, v):
+        th = np.sqrt(np.vecdot(v, v, keepdims=True))
+        moving = np.count_nonzero(th)
+        if not moving:  # zero tangents, or ones whose norm underflows
             return x
         # below th = 1e-9, cos = 1 and sin(t)/t = 1: y = x + v, cubic error below
         # rounding; a norm that underflows to 0 divides by the smallest normal
         ts = np.maximum(th, _TINY)
-        y = np.cos(ts) * x.coords + (np.sin(ts) / ts) * v.coords
+        y = np.cos(ts) * x + (np.sin(ts) / ts) * v
         y /= np.sqrt(np.vecdot(y, y, keepdims=True))
-        return Point(self, readonly(np.where(th == 0.0, x.coords, y)))
+        if moving < th.size:
+            np.copyto(y, x, where=th == 0.0)
+        return readonly(y)
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):
@@ -432,12 +438,10 @@ class _UnitRows:
         xy = x.coords + y.coords
         out = w.coords - (np.vecdot(xy, w.coords) / (1.0 + c))[..., None] * xy
         # kill rounding in the normal direction
-        return Tangent(y, readonly(out - np.vecdot(y.coords, out, keepdims=True) * y.coords))
+        return Tangent(y, self._project(y.coords, out))
 
-    def project_tangent(self, x, a):
-        self._check_point(x)
-        a = self._as_ambient(a, shape=x.coords.shape)
-        return Tangent(x, readonly(a - np.vecdot(x.coords, a, keepdims=True) * x.coords))
+    def _project(self, x, a):
+        return readonly(a - np.vecdot(x, a, keepdims=True) * x)
 
     def _point_from(self, g):
         return Point(self, readonly(g / np.sqrt(np.vecdot(g, g, keepdims=True))))
@@ -511,14 +515,13 @@ class Grassmann(Manifold):
     def tangency_residual(self, x, coords):
         return _norm(x.coords.T @ coords)
 
-    def exp(self, x, v):
-        self._check_base(x, v)
-        if not v.coords.any():
+    def _exp(self, x, v):
+        if not np.count_nonzero(v):
             return x
-        u, s, vt = _svd(v.coords)
+        u, s, vt = _svd(v)
         s = _row(s)
-        y = x.coords @ (vt.mT * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
-        return Point(self, self._still(x, v, _qr_sign_fixed(y)))
+        y = x @ (vt.mT * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
+        return self._still(x, v, _qr_sign_fixed(y))
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -528,7 +531,7 @@ class Grassmann(Manifold):
         u, s, vt = _svd(t)
         out = (u * np.arctan(_row(s))) @ vt
         # clean rounding so tangency holds to working precision
-        return Tangent(x, readonly(out - x.coords @ (x.coords.mT @ out)))
+        return Tangent(x, self._project(x.coords, out))
 
     def dist(self, x, y):
         self._check_pair(x, y)
@@ -544,12 +547,10 @@ class Grassmann(Manifold):
         s = _row(s)
         uw = u.mT @ w.coords
         out = w.coords + (u * (np.cos(s) - 1.0)) @ uw - (x.coords @ (vt.mT * np.sin(s))) @ uw
-        return Tangent(y, readonly(out - y.coords @ (y.coords.mT @ out)))
+        return Tangent(y, self._project(y.coords, out))
 
-    def project_tangent(self, x, a):
-        self._check_point(x)
-        a = self._as_ambient(a, shape=x.coords.shape)
-        return Tangent(x, readonly(a - x.coords @ (x.coords.mT @ a)))
+    def _project(self, x, a):
+        return readonly(a - x @ (x.mT @ a))
 
     def _point_from(self, g):
         return Point(self, _qr_sign_fixed(g))

@@ -55,6 +55,10 @@ class Objective:
              else _stacked(self.ambient_grad, x, x.coords.shape))
         return self.manifold.project_tangent(x, g)
 
+    def value_and_rgrad(self, x: Point) -> tuple[float, Tangent]:
+        """(value(x), rgrad(x)), bit for bit; an override may share their work."""
+        return self.value(x), self.rgrad(x)
+
 
 def _stacked(f, x: Point, shape: tuple):
     """f(x) for a stack of points x, where f returns an array of `shape`.  An
@@ -75,8 +79,8 @@ class DiagonalQuadratic(Objective):
 
     def __init__(self, diag, manifold: Manifold | None = None):
         self.diag = np.asarray(diag, dtype=float)
-        if self.diag.ndim != 1:
-            raise ValueError("diag must be a vector")
+        if self.diag.ndim != 1 or not np.isfinite(self.diag).all():
+            raise ValueError("diag must be a finite vector")
         self.manifold = manifold if manifold is not None else Sphere(self.diag.size)
         if not isinstance(self.manifold, (Sphere, Euclidean)):
             raise ValueError(f"DiagonalQuadratic needs a sphere or Euclidean space, "
@@ -100,31 +104,36 @@ class DiagonalQuadratic(Objective):
 
 
 class _QuadraticForm(Objective):
-    """f(X) = 1/2 <X, M X> for symmetric M.  `ambient_grad` returns M X
-    read-only, kept for the last (immutable) point, so `value` and `rgrad` at
-    one point share one product."""
+    """f(X) = 1/2 <X, M X> for symmetric, finite M.  `ambient_grad` returns M X
+    read-only; `value_and_rgrad` forms M X once for both."""
 
     def __init__(self, m: np.ndarray, label: str):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"{label} must be square")
+        if not np.isfinite(m).all():  # NaN would pass the symmetry test below
+            raise ValueError(f"{label} has a non-finite entry")
         sym_res = float(np.linalg.norm(m - m.T))
         if sym_res > 1e-12:
             raise ValueError(f"{label} must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
         self._m = m
-        self._last = (None, None)  # (point, M @ point.coords), replaced as one
 
     def value(self, x):
-        if x.coords.ndim > 2:  # a stack: one pairwise sum per sample, as over one array
-            prod = x.coords * self.ambient_grad(x)
+        return self._value(x.coords, self._m @ x.coords)
+
+    @staticmethod
+    def _value(c: np.ndarray, mc: np.ndarray):
+        prod = c * mc
+        if prod.ndim > 2:  # a stack: one pairwise sum per sample, as over one array
             return 0.5 * np.add.reduce(prod.reshape(len(prod), -1), axis=-1)
-        return 0.5 * float(np.add.reduce(x.coords * self.ambient_grad(x), axis=None))
+        return 0.5 * float(np.add.reduce(prod, axis=None))
 
     def ambient_grad(self, x):
-        last, mx = self._last
-        if x is not last:
-            mx = readonly(self._m @ x.coords)
-            self._last = (x, mx)
-        return mx
+        return readonly(self._m @ x.coords)
+
+    def value_and_rgrad(self, x):
+        self.manifold._check_point(x)
+        mc = self._m @ x.coords
+        return self._value(x.coords, mc), Tangent(x, self.manifold._project(x.coords, mc))
 
 
 class KPCA(_QuadraticForm):
@@ -163,7 +172,7 @@ def hess_vec(obj: Objective, x: Point, v: Tangent, step: float | None = None) ->
     """
     man = obj.manifold
     man._check_base(x, v)
-    if not v.coords.any():
+    if not np.count_nonzero(v.coords):
         return Tangent(x, readonly(np.zeros_like(v.coords)))
     s = default_fd_step(x, v) if step is None else float(step)
     if np.any(s <= 0):

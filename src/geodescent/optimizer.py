@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import Point, Tangent, readonly
+from .manifolds import Point, Tangent
 from .objectives import Objective
 
 STATUS_SECOND_ORDER = "second-order-point"
@@ -286,7 +286,7 @@ def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float) -> tupl
     if not gnorm > 0:
         return x, 0.0
     eta_bar = min(eta, man.geometry().injectivity_radius / gnorm)
-    return man.exp(x, Tangent(x, readonly(-eta_bar * grad.coords))), eta_bar
+    return Point(man, man._exp(x.coords, -eta_bar * grad.coords)), eta_bar
 
 
 def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
@@ -306,8 +306,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     """
     man = obj.manifold
     x = state.x
-    fx = obj.value(x)
-    grad = obj.rgrad(x)
+    fx, grad = obj.value_and_rgrad(x)
     gnorm = grad.norm()
     if not (math.isfinite(fx) and math.isfinite(gnorm)):
         return _finish(STATUS_STEP_FAILURE, x, fx, gnorm, state.trace)
@@ -322,16 +321,15 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         xi = man.sample_tangent_ball(x, thr.r, rng)
         x = man.exp(x, xi)
         perturbed = True
-        fx = obj.value(x)
-        grad = obj.rgrad(x)
+        fx, grad = obj.value_and_rgrad(x)
         gnorm = grad.norm()
 
     if (state.t - state.t_noise == thr.t_thres and state.x_tilde is not None
             and fx - obj.value(state.x_tilde) > -thr.f_thres):
         xt = state.x_tilde
-        g_out = obj.rgrad(xt)
+        f_out, g_out = obj.value_and_rgrad(xt)
         state.trace.append(fx, gnorm, 0.0, False)
-        return _finish(STATUS_SECOND_ORDER, xt, obj.value(xt), g_out.norm(), state.trace)
+        return _finish(STATUS_SECOND_ORDER, xt, f_out, g_out.norm(), state.trace)
 
     x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta)
     state.trace.append(fx, gnorm, eta_bar * gnorm, perturbed)
@@ -343,6 +341,8 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
 def _drive(state: OptState, thr: ThresholdSet, obj: Objective,
            rng: np.random.Generator | None, max_iters: int) -> RunResult:
     """The one loop: iterate prgd_step from `state` to termination or the cap."""
+    if not max_iters >= 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     t0 = time.perf_counter()
     for _ in range(max_iters):
         out = prgd_step(state, thr, obj, rng)
@@ -350,8 +350,8 @@ def _drive(state: OptState, thr: ThresholdSet, obj: Objective,
             break
         state = out
     else:
-        g = obj.rgrad(state.x)
-        out = _finish(STATUS_ITERATION_CAP, state.x, obj.value(state.x), g.norm(), state.trace)
+        fx, g = obj.value_and_rgrad(state.x)
+        out = _finish(STATUS_ITERATION_CAP, state.x, fx, g.norm(), state.trace)
     out.trace.wall_time = time.perf_counter() - t0
     return out
 

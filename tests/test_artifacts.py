@@ -3,31 +3,39 @@
 A change that alters an artifact's bytes on purpose updates its digest here
 and says so in CHANGES.md; any other change must leave them all alone.  The
 kpca run goes through Grassmann SVDs and QRs and BLAS matrix products, so its
-digests hold on the host that pinned them (numpy 2.4, x86-64 OpenBLAS).
+digests hold on the host that pinned them (numpy 2.4, x86-64 OpenBLAS).  The
+Burer-Monteiro run takes 2-3 s to its end, so it is pinned at its first 5,000
+steps, which end at the iteration cap inside the first window.
 """
 
+import dataclasses
 import hashlib
 import os
 
 import pytest
 
-from geodescent.harness import load_config, run_experiment
+from geodescent.harness import EXIT_NOT_CONVERGED, load_config, run_experiment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# config, seed, {file: sha256}
+# config, seed, max_iters (None: the config's), {file: sha256}
 PINNED = {
-    "figure1-seed-7": ("figure1.cfg", 7, {
+    "figure1-seed-7": ("figure1.cfg", 7, None, {
         "trace.csv": "3016c0db2c1621a7c95fee1a7b258313e8dd9824893ba73f6a52423d6debb58d",
         "summary.txt": "dc80690a2a787e578121fde5121118c637ebc2af65527e1679efe9bd16a3fca8",
         "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
     }),
-    "kpca-seed-0": ("kpca.cfg", 0, {
+    "kpca-seed-0": ("kpca.cfg", 0, None, {
         "trace.csv": "81646cac2640712feb1f2c36f8194a9b6716ae514ac58b34cd2f1d1aa416dc8f",
         "summary.txt": "d6537104f8eb7b335e2f1e493339a08a777176387ebc8790eb4e7e45f39ceaaa",
         "final_point.txt": "456af57061e7ab451a747493b40b46798ea7f22381c5c80809b4281bf63d9c82",
     }),
-    "verify-seed-0": ("verify.cfg", 0, {
+    "burer-monteiro-seed-7-5000-steps": ("burer-monteiro.cfg", 7, 5000, {
+        "trace.csv": "5bf299cbba254fbdb5a7fff0e6c12682221c31e0a9271ca9c79f2832b3071e74",
+        "summary.txt": "bbe576637d4f7e8878a866b653c7e0e06000437c806dbb09c43e3afa6608dff9",
+        "final_point.txt": "e9fadf2ddf4a2e7f293a8767625771145ad445c460c24823ce3ec0173e92c19d",
+    }),
+    "verify-seed-0": ("verify.cfg", 0, None, {
         "report_coupling.txt": "f6c3861d379a2675747731c7241510293d07257bf0f99466ad44cfd7b8ba06ce",
         "report_descent-negative-control.txt":
             "24ada05d0d11e1381d0576ccab58bef6b1dbf67d14a568793409ac19e58ce264",
@@ -45,10 +53,12 @@ PINNED = {
 
 @pytest.mark.parametrize("run", list(PINNED))
 def test_shipped_run_writes_the_pinned_bytes(run, tmp_path):
-    config, seed, want = PINNED[run]
-    out = run_experiment(load_config(os.path.join(ROOT, "configs", config)),
-                         out_dir=str(tmp_path), seed=seed)
-    assert out.exit_code == 0
+    config, seed, max_iters, want = PINNED[run]
+    cfg = load_config(os.path.join(ROOT, "configs", config))
+    if max_iters is not None:
+        cfg = dataclasses.replace(cfg, max_iters=max_iters)
+    out = run_experiment(cfg, out_dir=str(tmp_path), seed=seed)
+    assert out.exit_code == (0 if max_iters is None else EXIT_NOT_CONVERGED)
     written = {p.name for p in tmp_path.iterdir() if p.name.startswith("report_")}
     assert written <= set(want)  # a verify run pins every report it writes
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}

@@ -744,12 +744,15 @@ def tangent_at_random_point(man, coords):
 
 
 def test_maps_call_no_numpy_wrapper():
-    """exp, log, dist, transport and project_tangent, and the Grassmann kernels
-    `principal_angles` and `_qr_sign_fixed`, avoid the numpy calls whose Python
-    wrappers cost more than the arithmetic on small arrays."""
+    """exp, log, dist, transport and project_tangent, the array kernels `_exp`
+    and `_project` behind them, and the Grassmann kernels `principal_angles`
+    and `_qr_sign_fixed`, avoid the numpy calls whose Python wrappers cost
+    more than the arithmetic on small arrays.  Those include the `any` and
+    `all` methods: a zero test is `np.count_nonzero`."""
     banned = {"np.linalg.norm", "np.linalg.svd", "np.linalg.qr", "np.linalg.inv",
               "np.clip", "np.any", "np.dot", "np.sum"}
-    maps = {"exp", "log", "dist", "transport", "project_tangent"}
+    banned_methods = {"any", "all"}
+    maps = {"exp", "log", "dist", "transport", "project_tangent", "_exp", "_project"}
     kernels = {"principal_angles", "_qr_sign_fixed"}
     module = ast.parse(inspect.getsource(manifolds)).body
     walked = [(fn.name, fn) for fn in module if isinstance(fn, ast.FunctionDef) and fn.name in kernels]
@@ -758,9 +761,22 @@ def test_maps_call_no_numpy_wrapper():
         if isinstance(cls, ast.ClassDef):
             walked += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
                        if isinstance(fn, ast.FunctionDef) and fn.name in maps]
+    assert {f"{c}.{k}" for c in ("Euclidean", "_UnitRows", "Grassmann")
+            for k in ("_exp", "_project")} <= {name for name, _ in walked}
     found = [f"{name}: {ast.unparse(node.func)}" for name, fn in walked for node in ast.walk(fn)
-             if isinstance(node, ast.Call) and ast.unparse(node.func) in banned]
+             if isinstance(node, ast.Call) and (
+                 ast.unparse(node.func) in banned
+                 or isinstance(node.func, ast.Attribute) and node.func.attr in banned_methods)]
     assert found == []
+
+
+@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
+def test_exp_and_project_tangent_are_checked_in_one_place(cls):
+    """`Manifold.exp` and `Manifold.project_tangent` run the checks; a manifold
+    supplies only the array kernels `_exp` and `_project`."""
+    for name, kernel in (("exp", "_exp"), ("project_tangent", "_project")):
+        assert getattr(cls, name) is getattr(Manifold, name)
+        assert callable(getattr(cls, kernel, None))
 
 
 FOREIGN = {Euclidean: (Euclidean(3), Sphere(3)), Sphere: (Sphere(3), Euclidean(3)),

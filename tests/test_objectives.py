@@ -11,8 +11,10 @@ from geodescent import (
     Euclidean,
     GeometryError,
     KPCA,
+    Grassmann,
     Manifold,
     Objective,
+    Oblique,
     Point,
     Sphere,
     Tangent,
@@ -79,6 +81,19 @@ class TestValue:
         with pytest.raises(ValueError, match="symmetric"):
             BurerMonteiro(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("build, message", [
+        (lambda e: KPCA(np.diag([0.0, e, 2.0, 3.0, 4.0]), 3), "H has a non-finite entry"),
+        (lambda e: BurerMonteiro(np.array([[0.0, e, 0.0], [e, 1.0, 0.0], [0.0, 0.0, 2.0]]), 2),
+         "A has a non-finite entry"),
+        (lambda e: DiagonalQuadratic([1.0, e, 3.0]), "diag must be a finite vector"),
+    ], ids=["kpca", "burer-monteiro", "diagonal-quadratic"])
+    def test_non_finite_matrices_rejected(self, build, message, bad):
+        """A NaN passes the symmetry test (nan > 1e-12 is False) and an inf
+        only warns there, so finiteness is checked on its own."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(bad)
+
     def test_burer_monteiro_value(self):
         a = np.array([[2.0, 1.0], [1.0, 0.0]])
         obj = BurerMonteiro(a, 2)
@@ -110,7 +125,7 @@ def bm_draw(k):
 
 class TestQuadraticFormSameBits:
     """value and ambient_grad give the bits of the parent's expressions,
-    before and after the cached product is reused by rgrad."""
+    before and after rgrad at the same point."""
 
     def test_kpca(self):
         for k in range(200):
@@ -129,6 +144,44 @@ class TestQuadraticFormSameBits:
             assert np.array_equal(obj.ambient_grad(y), a @ c)
             obj.rgrad(y)
             assert obj.value(y) == 0.5 * float(np.sum(c * (a @ c)))
+
+
+class RowCubic(Objective):
+    """A user objective with no `value_and_rgrad` of its own."""
+
+    def __init__(self, manifold):
+        self.manifold = manifold
+
+    def value(self, x):
+        return float(np.sum(x.coords ** 3))
+
+    def ambient_grad(self, x):
+        return 3.0 * x.coords ** 2
+
+
+def diag_draw(k, euclidean=False):
+    rng = np.random.default_rng(k)
+    n = 3 + k % 5
+    obj = DiagonalQuadratic(rng.standard_normal(n), Euclidean(n) if euclidean else None)
+    return obj, obj.manifold.random_point(rng), rng
+
+
+def cubic_draw(k):
+    rng = np.random.default_rng(k)
+    obj = RowCubic([Sphere(4), Oblique(6, 3), Grassmann(5, 2)][k % 3])
+    return obj, obj.manifold.random_point(rng), rng
+
+
+@pytest.mark.parametrize("draw", [kpca_draw, bm_draw, diag_draw, partial(diag_draw, euclidean=True),
+                                  cubic_draw],
+                         ids=["kpca", "bm", "diag-sphere", "diag-euclidean", "user"])
+def test_value_and_rgrad_has_the_bits_of_value_and_rgrad(draw):
+    assert RowCubic.value_and_rgrad is Objective.value_and_rgrad
+    for k in range(200):
+        obj, x, _ = draw(k)
+        f, g = obj.value_and_rgrad(x)
+        assert np.float64(f).tobytes() == np.float64(obj.value(x)).tobytes()
+        assert g.base is x and g.coords.tobytes() == obj.rgrad(x).coords.tobytes()
 
 
 class TestQuadraticFormCache:

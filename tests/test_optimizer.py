@@ -9,7 +9,12 @@ import pytest
 
 from geodescent import (
     AssumptionParams,
+    BurerMonteiro,
     DiagonalQuadratic,
+    Euclidean,
+    Grassmann,
+    KPCA,
+    Oblique,
     Objective,
     OptState,
     RunResult,
@@ -250,6 +255,28 @@ class TestRun:
         result = run(obj, x0, fig_thresholds(), 3, np.random.default_rng(1))
         assert result.status == "iteration-cap"
         assert result.iterations == 3
+
+    @pytest.mark.parametrize("max_iters", [-1, -5])
+    def test_negative_cap_rejected(self, max_iters):
+        obj = fig_objective()
+        x0 = obj.manifold.random_point(np.random.default_rng(1))
+        message = f"^max_iters must be >= 0, got {max_iters}$"
+        with pytest.raises(ValueError, match=message):
+            run(obj, x0, fig_thresholds(), max_iters, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=message):
+            rgd_baseline(obj, x0, 0.05, 1e-6, max_iters)
+
+    @pytest.mark.parametrize("obj, other", [
+        (DiagonalQuadratic(D_FIG), Euclidean(3)),
+        (KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3), Oblique(5, 3)),
+        (BurerMonteiro(np.diag([1.0, 2.0, 3.0, 4.0]), 2), Grassmann(4, 2)),
+    ], ids=["diagonal-quadratic", "kpca", "burer-monteiro"])
+    def test_start_on_another_manifold_rejected(self, obj, other):
+        """x0 has the objective's shape but lies on another manifold."""
+        x0 = other.random_point(np.random.default_rng(1))
+        with pytest.raises(ValueError, match=f"^point on {re.escape(other.name)}, "
+                                             f"expected {re.escape(obj.manifold.name)}$"):
+            run(obj, x0, fig_thresholds(), 10, np.random.default_rng(1))
 
     def test_deterministic_traces(self):
         obj = fig_objective()
