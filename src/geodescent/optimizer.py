@@ -358,7 +358,7 @@ def _drive(state: OptState, thr: ThresholdSet, obj: Objective,
 
 def run(obj: Objective, x0: Point, thr: ThresholdSet, max_iters: int,
         rng: np.random.Generator) -> RunResult:
-    """Iterate prgd_step until termination or the iteration cap."""
+    """Iterate prgd_step until termination or the iteration cap, max_iters >= 0."""
     return _drive(OptState.initial(x0, thr), thr, obj, rng, max_iters)
 
 
@@ -366,8 +366,8 @@ def rgd_baseline(obj: Objective, x0: Point, eta: float, g_tol: float,
                  max_iters: int) -> RunResult:
     """Plain Riemannian gradient descent: prgd_step with the first-order stop,
     so the same step clamp and no perturbation; stops once the gradient norm
-    reaches g_tol.  Raises ValueError unless eta is finite and positive and
-    g_tol finite and >= 0."""
+    reaches g_tol.  Raises ValueError unless eta is finite and positive,
+    g_tol finite and >= 0, and max_iters >= 0."""
     if not 0 < eta < math.inf:
         raise ValueError(f"eta must be finite and positive, got {eta}")
     if not 0 <= g_tol < math.inf:
