@@ -476,9 +476,7 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
     all_pass = True
 
     diag = np.asarray(cfg.diag if cfg.diag is not None else [1.0, -1.0, 4.0])
-    obj = None
-    if isinstance(man, (Sphere, Euclidean)) and diag.size == man.shape[0]:
-        obj = DiagonalQuadratic(diag, man)
+    obj = DiagonalQuadratic(diag, man) if diag.shape == man.shape else None  # sphere or flat space
 
     n = cfg.n_samples
     scales = cfg.scales

@@ -100,11 +100,19 @@ def _row(s: np.ndarray) -> np.ndarray:
     return s if s.ndim == 1 else s[:, None]
 
 
+def _dots(a: np.ndarray, b: np.ndarray, nd: int = 1):
+    """<a, b> by BLAS ddot per sample of stacks whose samples have `nd` axes, or of one."""
+    if a.ndim == nd:  # one sample: `ndarray.dot`, cheaper to call than `np.vecdot`
+        return a.ravel().dot(b.ravel())
+    if nd > 1:  # flatten each sample's axes into one
+        shape = a.shape[:a.ndim - nd] + (-1,)
+        a, b = a.reshape(shape), b.reshape(shape)
+    return np.vecdot(a, b)
+
+
 def _norms(a: np.ndarray, nd: int = 1):
-    """`_norm` of each sample of a stack whose samples have `nd` axes, or of one
-    sample, same bits (`np.vecdot` and `ndarray.dot` both call BLAS ddot)."""
-    a = a.reshape(a.shape[:a.ndim - nd] + (-1,))
-    return np.sqrt(np.vecdot(a, a))
+    """`_norm` of each sample, or of one sample, same bits."""
+    return np.sqrt(_dots(a, a, nd))
 
 
 class Point:
@@ -235,6 +243,10 @@ class Manifold:
 
     def transport(self, x: Point, y: Point, w: Tangent) -> Tangent:
         raise NotImplementedError
+
+    def _weingarten(self, x: np.ndarray, v: np.ndarray, g: np.ndarray):
+        """Unchecked kernel: the Weingarten term W_x(v, g) for ambient gradient g."""
+        raise NotImplementedError(f"{self.name} has no Weingarten term")
 
     def project_tangent(self, x: Point, a) -> Tangent:
         """The ambient array `a` projected onto the tangent space at x, checked
@@ -372,6 +384,9 @@ class Euclidean(Manifold):
     def _project(self, x, a):
         return a
 
+    def _weingarten(self, x, v, g):
+        return 0.0
+
     def _point_from(self, g):
         return Point(self, readonly(g))
 
@@ -442,6 +457,9 @@ class _UnitRows:
 
     def _project(self, x, a):
         return readonly(a - np.vecdot(x, a, keepdims=True) * x)
+
+    def _weingarten(self, x, v, g):
+        return np.vecdot(x, g, keepdims=True) * v
 
     def _point_from(self, g):
         return Point(self, readonly(g / np.sqrt(np.vecdot(g, g, keepdims=True))))
@@ -551,6 +569,9 @@ class Grassmann(Manifold):
 
     def _project(self, x, a):
         return readonly(a - x @ (x.mT @ a))
+
+    def _weingarten(self, x, v, g):
+        return v @ (x.mT @ g)
 
     def _point_from(self, g):
         return Point(self, _qr_sign_fixed(g))

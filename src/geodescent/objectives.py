@@ -1,5 +1,5 @@
-"""Cost functions with closed-form Riemannian gradients, finite-difference
-Hessian-vector products, and a smallest-Hessian-eigenvalue estimator."""
+"""Quadratic-form costs with closed-form Riemannian gradients and Hessians, central
+differences for other costs' Hessians, and a smallest-Hessian-eigenvalue estimator."""
 
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ from functools import partial
 import numpy as np
 
 from .manifolds import (
-    Euclidean,
     Grassmann,
     Manifold,
     Oblique,
     Point,
     Sphere,
     Tangent,
+    _dots,
     _norm,
     _norms,
     readonly,
@@ -70,70 +70,52 @@ def _stacked(f, x: Point, shape: tuple):
     return np.array([f(Point(x.manifold, c)) for c in x.coords])
 
 
-class DiagonalQuadratic(Objective):
-    """f(x) = x^T diag(d) x, on the unit sphere or on Euclidean space.
+class _QuadraticForm(Objective):
+    """f(X) = 1/2 <X, M X>, M a finite symmetric matrix or a vector applied
+    elementwise (a diagonal).  Hessian: P(M P v - W(P v, M X)), P the tangent
+    projection, W the manifold's Weingarten term (Absil, Mahony and Trumpf 2013)."""
 
-    On the sphere the exact Riemannian Hessian is
-    H[v] = 2 P (diag(d) - (x^T diag(d) x) I) P v  with  P = I - x x^T.
-    """
+    def __init__(self, m: np.ndarray, manifold: Manifold, label: str):
+        if m.ndim != 1 and (m.ndim != 2 or m.shape[0] != m.shape[1]):
+            raise ValueError(f"{label} must be square")
+        if not np.isfinite(m).all():  # NaN would pass the symmetry test below
+            raise ValueError(f"{label} has a non-finite entry")
+        if (sym_res := float(np.linalg.norm(m - m.T))) > 1e-12:
+            raise ValueError(f"{label} must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
+        if type(manifold)._weingarten is Manifold._weingarten:
+            raise ValueError(f"a quadratic form needs a Weingarten term, got {manifold.name}")
+        if not (m.shape == manifold.shape if m.ndim == 1 else len(m) == manifold.shape[0]):
+            raise ValueError(f"{label} of size {len(m)} does not match {manifold.name}")
+        self._m, self._half = m, 0.5 * m  # (M / 2) X is (M X) / 2 exactly, bit for bit
+        self._times = np.multiply if m.ndim == 1 else np.matmul
+        self._nd = len(manifold.shape)
+        self.manifold = manifold
+
+    def value(self, x):
+        return _dots(x.coords, self._times(self._half, x.coords), self._nd)
+
+    def ambient_grad(self, x):
+        return readonly(self._times(self._m, x.coords))
+
+    def value_and_rgrad(self, x):
+        self.manifold._check_point(x)
+        mc = self._times(self._m, x.coords)
+        return 0.5 * _dots(x.coords, mc, self._nd), Tangent(x, self.manifold._project(x.coords, mc))
+
+    def exact_hess(self, x, v):
+        man, c, pv = self.manifold, x.coords, self.manifold.project_tangent(x, v.coords).coords
+        w = self._times(self._m, pv) - man._weingarten(c, pv, self._times(self._m, c))
+        return man.project_tangent(x, readonly(w))
+
+
+class DiagonalQuadratic(_QuadraticForm):
+    """f(x) = x^T diag(d) x (M = 2 diag(d)), on the unit sphere by default."""
 
     def __init__(self, diag, manifold: Manifold | None = None):
         self.diag = np.asarray(diag, dtype=float)
         if self.diag.ndim != 1 or not np.isfinite(self.diag).all():
             raise ValueError("diag must be a finite vector")
-        self.manifold = manifold if manifold is not None else Sphere(self.diag.size)
-        if not isinstance(self.manifold, (Sphere, Euclidean)):
-            raise ValueError(f"DiagonalQuadratic needs a sphere or Euclidean space, "
-                             f"got {self.manifold.name}")
-        if self.manifold.shape != self.diag.shape:
-            raise ValueError(f"diagonal of size {self.diag.size} does not match {self.manifold.name}")
-
-    def value(self, x):
-        return np.vecdot(x.coords, self.diag * x.coords)  # rounds like `@` (both BLAS ddot)
-
-    def ambient_grad(self, x):
-        return 2.0 * self.diag * x.coords
-
-    def exact_hess(self, x, v):
-        if isinstance(self.manifold, Sphere):
-            pv = self.manifold.project_tangent(x, v.coords).coords
-            fx = self.value(x)[..., None]
-            w = 2.0 * (self.diag * pv - fx * pv)
-            return self.manifold.project_tangent(x, w)
-        return Tangent(x, readonly(2.0 * self.diag * v.coords))
-
-
-class _QuadraticForm(Objective):
-    """f(X) = 1/2 <X, M X> for symmetric, finite M.  `ambient_grad` returns M X
-    read-only; `value_and_rgrad` forms M X once for both."""
-
-    def __init__(self, m: np.ndarray, label: str):
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"{label} must be square")
-        if not np.isfinite(m).all():  # NaN would pass the symmetry test below
-            raise ValueError(f"{label} has a non-finite entry")
-        sym_res = float(np.linalg.norm(m - m.T))
-        if sym_res > 1e-12:
-            raise ValueError(f"{label} must be symmetric, asymmetry {sym_res:.3e} > 1e-12")
-        self._m = m
-
-    def value(self, x):
-        return self._value(x.coords, self._m @ x.coords)
-
-    @staticmethod
-    def _value(c: np.ndarray, mc: np.ndarray):
-        prod = c * mc
-        if prod.ndim > 2:  # a stack: one pairwise sum per sample, as over one array
-            return 0.5 * np.add.reduce(prod.reshape(len(prod), -1), axis=-1)
-        return 0.5 * float(np.add.reduce(prod, axis=None))
-
-    def ambient_grad(self, x):
-        return readonly(self._m @ x.coords)
-
-    def value_and_rgrad(self, x):
-        self.manifold._check_point(x)
-        mc = self._m @ x.coords
-        return self._value(x.coords, mc), Tangent(x, self.manifold._project(x.coords, mc))
+        super().__init__(2.0 * self.diag, manifold or Sphere(self.diag.size), "diagonal")
 
 
 class KPCA(_QuadraticForm):
@@ -141,8 +123,7 @@ class KPCA(_QuadraticForm):
 
     def __init__(self, h, k: int):
         self.h = np.asarray(h, dtype=float)
-        super().__init__(-self.h, "H")
-        self.manifold = Grassmann(len(self.h), k)
+        super().__init__(-self.h, Grassmann(len(self.h), k), "H")
 
 
 class BurerMonteiro(_QuadraticForm):
@@ -150,8 +131,7 @@ class BurerMonteiro(_QuadraticForm):
 
     def __init__(self, a, p: int):
         self.a = np.asarray(a, dtype=float)
-        super().__init__(self.a, "A")
-        self.manifold = Oblique(len(self.a), p)
+        super().__init__(self.a, Oblique(len(self.a), p), "A")
 
 
 def default_fd_step(x: Point, v: Tangent):

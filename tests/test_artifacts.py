@@ -26,13 +26,13 @@ PINNED = {
         "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
     }),
     "kpca-seed-0": ("kpca.cfg", 0, None, {
-        "trace.csv": "81646cac2640712feb1f2c36f8194a9b6716ae514ac58b34cd2f1d1aa416dc8f",
-        "summary.txt": "d6537104f8eb7b335e2f1e493339a08a777176387ebc8790eb4e7e45f39ceaaa",
+        "trace.csv": "b54c6ceaa46402c5c470026b357d0b082c4adb4884dec2e4965bc0458408035a",
+        "summary.txt": "acfa527fd063d9a83845cb1b9d31eb47ac024f5f60d8afe88dddd7f3f969f42c",
         "final_point.txt": "456af57061e7ab451a747493b40b46798ea7f22381c5c80809b4281bf63d9c82",
     }),
     "burer-monteiro-seed-7-5000-steps": ("burer-monteiro.cfg", 7, 5000, {
-        "trace.csv": "5bf299cbba254fbdb5a7fff0e6c12682221c31e0a9271ca9c79f2832b3071e74",
-        "summary.txt": "bbe576637d4f7e8878a866b653c7e0e06000437c806dbb09c43e3afa6608dff9",
+        "trace.csv": "9a51e4ec3438bea67db3c2ddd0dc5723267393ca92f39c48bac471c949dedfb4",
+        "summary.txt": "955af210313be413fa43f7d6a975ebccf719db6c8ac10e7ebf30332e1b754e97",
         "final_point.txt": "e9fadf2ddf4a2e7f293a8767625771145ad445c460c24823ce3ec0173e92c19d",
     }),
     "verify-seed-0": ("verify.cfg", 0, None, {

@@ -745,14 +745,15 @@ def tangent_at_random_point(man, coords):
 
 def test_maps_call_no_numpy_wrapper():
     """exp, log, dist, transport and project_tangent, the array kernels `_exp`
-    and `_project` behind them, and the Grassmann kernels `principal_angles`
+    and `_project` behind them, the Weingarten kernel `_weingarten` of the
+    quadratic forms' Hessian, and the Grassmann kernels `principal_angles`
     and `_qr_sign_fixed`, avoid the numpy calls whose Python wrappers cost
     more than the arithmetic on small arrays.  Those include the `any` and
     `all` methods: a zero test is `np.count_nonzero`."""
     banned = {"np.linalg.norm", "np.linalg.svd", "np.linalg.qr", "np.linalg.inv",
               "np.clip", "np.any", "np.dot", "np.sum"}
     banned_methods = {"any", "all"}
-    maps = {"exp", "log", "dist", "transport", "project_tangent", "_exp", "_project"}
+    maps = {"exp", "log", "dist", "transport", "project_tangent", "_exp", "_project", "_weingarten"}
     kernels = {"principal_angles", "_qr_sign_fixed"}
     module = ast.parse(inspect.getsource(manifolds)).body
     walked = [(fn.name, fn) for fn in module if isinstance(fn, ast.FunctionDef) and fn.name in kernels]
@@ -762,7 +763,7 @@ def test_maps_call_no_numpy_wrapper():
             walked += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
                        if isinstance(fn, ast.FunctionDef) and fn.name in maps]
     assert {f"{c}.{k}" for c in ("Euclidean", "_UnitRows", "Grassmann")
-            for k in ("_exp", "_project")} <= {name for name, _ in walked}
+            for k in ("_exp", "_project", "_weingarten")} <= {name for name, _ in walked}
     found = [f"{name}: {ast.unparse(node.func)}" for name, fn in walked for node in ast.walk(fn)
              if isinstance(node, ast.Call) and (
                  ast.unparse(node.func) in banned
@@ -905,8 +906,8 @@ def subspace_angles(x, y):
 
 
 def test_points_and_tangents_are_immutable():
-    """`_QuadraticForm` caches on the identity of the last point, which holds
-    only while a point cannot change."""
+    """Points and tangents refuse assignment and deletion and compare by
+    identity, so a cache may key on `is`, as `Point` promises."""
     man = Oblique(3, 2)
     rng = np.random.default_rng(0)
     x = man.random_point(rng)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import os
 import warnings
 from functools import partial
 
@@ -24,8 +26,10 @@ from geodescent import (
     min_hess_eig,
     objectives,
 )
+from geodescent.harness import _build_problem, _seed_streams, load_config, run_experiment
 from oracles import central_diff_along_geodesic, dense_hessian_matrix
 
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 D_FIG = np.array([1.0, -1.0, 4.0])
 H5 = np.diag([0.0, 1.0, 2.0, 3.0, 4.0])
 
@@ -123,27 +127,48 @@ def bm_draw(k):
     return obj, obj.manifold.random_point(rng), rng
 
 
+def ddot_value(c, mc):
+    """1/2 <c, M c> by BLAS ddot over the flattened coordinates."""
+    return 0.5 * float(c.ravel().dot(mc.ravel()))
+
+
 class TestQuadraticFormSameBits:
-    """value and ambient_grad give the bits of the parent's expressions,
-    before and after rgrad at the same point."""
+    """value is 1/2 of one BLAS ddot, and ambient_grad gives the bits of M X,
+    before and after rgrad at the same point.  The diagonal keeps the bits of
+    its own former value, gradient and sphere Hessian."""
 
     def test_kpca(self):
         for k in range(200):
             obj, x, _ = kpca_draw(k)
             h, c = obj.h, x.coords
-            assert obj.value(x) == -0.5 * float(np.sum(c * (h @ c)))
+            assert obj.value(x) == ddot_value(c, -h @ c)
             assert np.array_equal(obj.ambient_grad(x), -h @ c)
             obj.rgrad(x)
-            assert obj.value(x) == -0.5 * float(np.sum(c * (h @ c)))
+            assert obj.value(x) == ddot_value(c, -h @ c)
 
     def test_burer_monteiro(self):
         for k in range(200):
             obj, y, _ = bm_draw(k)
             a, c = obj.a, y.coords
-            assert obj.value(y) == 0.5 * float(np.sum(c * (a @ c)))
+            assert obj.value(y) == ddot_value(c, a @ c)
             assert np.array_equal(obj.ambient_grad(y), a @ c)
             obj.rgrad(y)
-            assert obj.value(y) == 0.5 * float(np.sum(c * (a @ c)))
+            assert obj.value(y) == ddot_value(c, a @ c)
+
+    @pytest.mark.parametrize("euclidean", [False, True], ids=["sphere", "euclidean"])
+    def test_diagonal(self, euclidean):
+        for k in range(200):
+            obj, x, rng = diag_draw(k, euclidean)
+            man, d, c = obj.manifold, obj.diag, x.coords
+            v = man.sample_tangent_ball(x, 1.0, rng)
+            assert obj.value(x) == np.vecdot(c, d * c)
+            assert np.array_equal(obj.ambient_grad(x), 2.0 * d * c)
+            if euclidean:
+                want = 2.0 * d * v.coords
+            else:  # 2 P (D - f(x) I) P v, as written for the sphere alone
+                pv = man.project_tangent(x, v.coords).coords
+                want = man.project_tangent(x, 2.0 * (d * pv - np.vecdot(c, d * c) * pv)).coords
+            assert obj.exact_hess(x, v).coords.tobytes() == want.tobytes()
 
 
 class RowCubic(Objective):
@@ -184,7 +209,7 @@ def test_value_and_rgrad_has_the_bits_of_value_and_rgrad(draw):
         assert g.base is x and g.coords.tobytes() == obj.rgrad(x).coords.tobytes()
 
 
-class TestQuadraticFormCache:
+class TestQuadraticForm:
     @pytest.mark.parametrize("draw", [kpca_draw, bm_draw], ids=["kpca", "bm"])
     def test_other_point_in_between_does_not_leak(self, draw):
         obj, x1, rng = draw(3)
@@ -271,16 +296,23 @@ class TestHessVec:
             rhs = man.inner(x, v, hess_vec(obj, x, u))
             assert abs(lhs - rhs) <= 1e-4 * u.norm() * v.norm()
 
-    def test_finite_difference_matches_exact_operator_norm(self):
-        obj = fig_objective()
+    @pytest.mark.parametrize("make", [
+        fig_objective,
+        lambda: DiagonalQuadratic(D_FIG, Euclidean(3)),
+        lambda: KPCA(random_symmetric(6, 3), 2),
+        lambda: BurerMonteiro(random_symmetric(6, 12), 3),
+    ], ids=["sphere-quadratic", "euclidean-quadratic", "kpca", "burer-monteiro"])
+    def test_finite_differences_match_exact_hess(self, make):
+        """Each quadratic form's closed-form Hessian, one Weingarten rule per
+        manifold, agrees with central differences of transported gradients."""
+        obj = make()
         man = obj.manifold
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = man.random_point(rng)
             m_fd = dense_hessian_matrix(man, x, lambda t: hess_vec(obj, x, t))
             m_exact = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
-            rel = np.linalg.norm(m_fd - m_exact, 2) / max(np.linalg.norm(m_exact, 2), 1.0)
-            assert rel <= 1e-4
+            assert np.abs(m_fd - m_exact).max() <= 1e-8
 
 
 STACKED_OBJECTIVES = {
@@ -307,9 +339,8 @@ def test_stacked_calls_give_each_sample_its_single_point_bits(name):
     v = Tangent(x, np.array([t.coords for t in vs]))
     ops = {"value": lambda p, t: obj.value(p),
            "rgrad": lambda p, t: obj.rgrad(p).coords,
+           "exact_hess": lambda p, t: obj.exact_hess(p, t).coords,
            "hess_vec": lambda p, t: hess_vec(obj, p, t).coords}
-    if obj.exact_hess is not None:
-        ops["exact_hess"] = lambda p, t: obj.exact_hess(p, t).coords
     for op, call in ops.items():
         stacked = call(x, v)
         assert all(np.array_equal(stacked[i], call(p, t)) for i, (p, t) in enumerate(zip(xs, vs))), op
@@ -337,7 +368,8 @@ def test_hess_vec_differences_a_stack_in_one_pass(monkeypatch):
 
 class TestHessOperator:
     """`hess_operator` takes the closed form exactly when `exact_hess` is
-    defined, and central differences (`hess_vec`) otherwise."""
+    defined, as on every quadratic form, and central differences (`hess_vec`)
+    otherwise."""
 
     @pytest.fixture
     def fd_calls(self, monkeypatch):
@@ -350,9 +382,13 @@ class TestHessOperator:
         monkeypatch.setattr(objectives, "hess_vec", spy)
         return calls
 
-    @pytest.mark.parametrize("man", [Sphere(3), Euclidean(3)], ids=lambda m: m.name)
-    def test_closed_form_when_defined(self, man, fd_calls):
-        obj = DiagonalQuadratic(D_FIG, man)
+    @pytest.mark.parametrize("make", [lambda: DiagonalQuadratic(D_FIG, Sphere(3)),
+                                      lambda: DiagonalQuadratic(D_FIG, Euclidean(3)),
+                                      lambda: KPCA(H5, 3), lambda: BurerMonteiro(np.eye(4), 2)],
+                             ids=["sphere(3)", "euclidean(3)", "kpca", "bm"])
+    def test_closed_form_when_defined(self, make, fd_calls):
+        obj = make()
+        man = obj.manifold
         rng = np.random.default_rng(6)
         x = man.random_point(rng)
         v = man.sample_tangent_ball(x, 1.0, rng)
@@ -360,22 +396,29 @@ class TestHessOperator:
         assert fd_calls == []
         assert np.array_equal(out.coords, obj.exact_hess(x, v).coords)
 
-    @pytest.mark.parametrize("make", [lambda: KPCA(H5, 3), lambda: BurerMonteiro(np.eye(4), 2),
-                                      lambda: Constant(Sphere(3), 2.5)],
-                             ids=["kpca", "bm", "test-local"])
-    def test_finite_differences_otherwise(self, make, fd_calls):
-        obj = make()
+    def test_finite_differences_otherwise(self, fd_calls):
+        obj = Constant(Sphere(3), 2.5)
         assert obj.exact_hess is None
         rng = np.random.default_rng(7)
         x = obj.manifold.random_point(rng)
         objectives.hess_operator(obj, x)(obj.manifold.sample_tangent_ball(x, 1.0, rng))
         assert fd_calls == [obj]
 
+    @pytest.mark.parametrize("config, cap", [("kpca.cfg", {}), ("burer-monteiro.cfg", {"max_iters": 200})],
+                             ids=["kpca", "burer-monteiro"])
+    def test_shipped_runs_take_no_finite_differences(self, config, cap, fd_calls, tmp_path):
+        """The smoothness estimate and the final certificate of a run take
+        the closed-form Hessian."""
+        cfg = dataclasses.replace(load_config(os.path.join(CONFIGS, config)), **cap)
+        out = run_experiment(cfg, out_dir=str(tmp_path), seed=0)
+        assert out.summary["iterations"] > 0
+        assert fd_calls == []
+
     def test_diagonal_quadratic_rejects_other_manifolds(self):
         class Line(Manifold):  # local, so it stays out of Manifold.__subclasses__() at collection
             name, shape = "line(3)", (3,)
 
-        with pytest.raises(ValueError, match=r"sphere or Euclidean space, got line\(3\)"):
+        with pytest.raises(ValueError, match=r"needs a Weingarten term, got line\(3\)$"):
             DiagonalQuadratic(D_FIG, Line())
 
 
@@ -427,6 +470,23 @@ class TestMinHessEig:
                                   - direction.coords) <= 1e-12
             rq = float(np.sum(direction.coords * op(direction).coords))
             assert rq == pytest.approx(lam, abs=1e-6)
+
+    def test_burer_monteiro_block_start(self):
+        """At the seed-3 Burer-Monteiro block start (dimension 1,900) Lanczos
+        returns the smallest eigenvalue of the dense closed-form Hessian.
+        Each row of that point is a standard basis vector, so the ambient
+        basis vectors off those entries are an orthonormal tangent basis."""
+        cfg = load_config(os.path.join(CONFIGS, "burer-monteiro.cfg"))
+        obj, x, _ = _build_problem(cfg, _seed_streams(3)[0])
+        man = obj.manifold
+        basis = np.eye(x.coords.size)[x.coords.ravel() == 0.0]
+        images = np.array([obj.exact_hess(x, Tangent(x, b.reshape(man.shape))).coords.ravel()
+                           for b in basis])
+        dense = np.linalg.eigvalsh(basis @ images.T)
+        assert len(dense) == man.geometry().dimension
+        assert dense[0] == pytest.approx(-2.775, abs=5e-4)
+        lam, _ = min_hess_eig(obj, x, 1e-3, np.random.default_rng(0))
+        assert lam == pytest.approx(dense[0], abs=1e-6)
 
     @pytest.mark.parametrize("n, top", [(200, 100.0), (1000, 1000.0)])
     def test_baseline_saddles(self, n, top):

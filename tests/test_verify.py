@@ -228,8 +228,8 @@ class TestLinearization:
                                   eta=0.05, rng=np.random.default_rng(5), falsify=True)
         assert not rep.passed
 
-    def test_finite_difference_hessian_on_kpca(self):
-        # KPCA has no closed-form Hessian: hess_operator differences gradients
+    def test_closed_form_hessian_on_kpca(self):
+        # hess_operator takes the quadratic form's closed-form Hessian on Grassmann
         obj = KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3)
         x = obj.manifold.point(np.eye(5)[:, 1:4])
         scales = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
@@ -400,7 +400,7 @@ def _kpca_start():
 OBJECTIVE_PROBLEMS = {
     "sphere(3)": lambda: (DiagonalQuadratic(D_FIG), saddle()),
     "euclidean(3)": lambda: (DiagonalQuadratic(D_FIG, Euclidean(3)), Euclidean(3).point(np.zeros(3))),
-    "kpca-grassmann(5,3)": _kpca_start,  # no closed-form Hessian: finite differences
+    "kpca-grassmann(5,3)": _kpca_start,  # closed-form Hessian with Grassmann's Weingarten term
 }
 
 
