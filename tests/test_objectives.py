@@ -127,6 +127,13 @@ def bm_draw(k):
     return obj, obj.manifold.random_point(rng), rng
 
 
+def without_closed_form(obj):
+    """obj with its closed-form Hessian withheld, as on an objective that
+    defines none."""
+    obj.exact_hess = None
+    return obj
+
+
 def ddot_value(c, mc):
     """1/2 <c, M c> by BLAS ddot over the flattened coordinates."""
     return 0.5 * float(c.ravel().dot(mc.ravel()))
@@ -209,7 +216,10 @@ def test_value_and_rgrad_has_the_bits_of_value_and_rgrad(draw):
         assert g.base is x and g.coords.tobytes() == obj.rgrad(x).coords.tobytes()
 
 
-class TestQuadraticForm:
+class TestQuadraticFormCache:
+    """A point evaluated in between leaves another point's value and gradient
+    as they were, and the ambient gradient M X is handed out read-only."""
+
     @pytest.mark.parametrize("draw", [kpca_draw, bm_draw], ids=["kpca", "bm"])
     def test_other_point_in_between_does_not_leak(self, draw):
         obj, x1, rng = draw(3)
@@ -314,6 +324,17 @@ class TestHessVec:
             m_exact = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
             assert np.abs(m_fd - m_exact).max() <= 1e-8
 
+    def test_finite_difference_matches_exact_operator_norm(self):
+        obj = fig_objective()
+        man = obj.manifold
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            x = man.random_point(rng)
+            m_fd = dense_hessian_matrix(man, x, lambda t: hess_vec(obj, x, t))
+            m_exact = dense_hessian_matrix(man, x, lambda t: obj.exact_hess(x, t))
+            rel = np.linalg.norm(m_fd - m_exact, 2) / max(np.linalg.norm(m_exact, 2), 1.0)
+            assert rel <= 1e-4
+
 
 STACKED_OBJECTIVES = {
     "sphere(3)": lambda: DiagonalQuadratic(D_FIG),
@@ -396,8 +417,15 @@ class TestHessOperator:
         assert fd_calls == []
         assert np.array_equal(out.coords, obj.exact_hess(x, v).coords)
 
-    def test_finite_differences_otherwise(self, fd_calls):
-        obj = Constant(Sphere(3), 2.5)
+    @pytest.mark.parametrize("make", [lambda: without_closed_form(KPCA(H5, 3)),
+                                      lambda: without_closed_form(BurerMonteiro(np.eye(4), 2)),
+                                      lambda: Constant(Sphere(3), 2.5)],
+                             ids=["kpca", "bm", "test-local"])
+    def test_finite_differences_otherwise(self, make, fd_calls):
+        """The choice follows the `exact_hess` attribute, not the class: a
+        quadratic form whose closed form is withheld differences gradients
+        on Grassmann and the oblique manifold too."""
+        obj = make()
         assert obj.exact_hess is None
         rng = np.random.default_rng(7)
         x = obj.manifold.random_point(rng)

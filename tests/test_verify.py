@@ -228,6 +228,19 @@ class TestLinearization:
                                   eta=0.05, rng=np.random.default_rng(5), falsify=True)
         assert not rep.passed
 
+    def test_finite_difference_hessian_on_kpca(self):
+        # closed form withheld: hess_operator differences gradients on Grassmann
+        obj = KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3)
+        obj.exact_hess = None
+        x = obj.manifold.point(np.eye(5)[:, 1:4])
+        scales = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]
+        rep = check_linearization(obj, obj.manifold, x, 100, scales, 0.05,
+                                  np.random.default_rng(5))
+        assert rep.passed
+        falsified = check_linearization(obj, obj.manifold, x, 100, scales, 0.05,
+                                        np.random.default_rng(5), falsify=True)
+        assert not falsified.passed
+
     def test_closed_form_hessian_on_kpca(self):
         # hess_operator takes the quadratic form's closed-form Hessian on Grassmann
         obj = KPCA(np.diag([0.0, 1.0, 2.0, 3.0, 4.0]), 3)
