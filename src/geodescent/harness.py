@@ -66,7 +66,6 @@ class ExperimentConfig:
     epsilon: float = 1e-4
     delta: float = 0.1
     beta: float | None = None
-    rho: float | None = None
     rho_hat: float | None = None
     eta: float | None = None
     r: float | None = None
@@ -163,7 +162,7 @@ def parse_config(text: str) -> ExperimentConfig:
     require(cfg.seed is None or cfg.seed >= 0,
             f"line {seen.get('seed')}: seed must be >= 0, got {cfg.seed}")
     require(cfg.mode in ("theory", "practical"), f"invalid mode {cfg.mode!r}")
-    for key in ("epsilon", "mu", "beta", "rho", "rho_hat", "eta", "r", "g_thres", "f_thres", "f_gap"):
+    for key in ("epsilon", "mu", "beta", "rho_hat", "eta", "r", "g_thres", "f_thres", "f_gap"):
         val = getattr(cfg, key)
         require(val is None or 0 < val < math.inf,
                 f"line {seen.get(key)}: {key} must be finite and positive, got {val}")
@@ -197,10 +196,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 or len(cfg.diag) == cfg.n, f"line {seen.get('diag')}: diag must have n = {cfg.n} "
                 f"entries on {cfg.manifold}, got {len(cfg.diag or ())}")
     if cfg.mode == "theory" and cfg.experiment != "verify":
-        require(cfg.f_gap is not None, "theory mode requires 'f_gap'")
-        require(cfg.beta is not None, "theory mode requires 'beta'")
-        require(cfg.rho is not None or cfg.rho_hat is not None,
-                "theory mode requires 'rho' or 'rho_hat'")
+        for key in ("f_gap", "beta", "rho_hat"):
+            require(key in seen, f"theory mode requires {key!r}")
+        for key in ("eta", "r", "g_thres", "f_thres", "t_thres"):
+            require(key not in seen, f"line {seen.get(key)}: theory mode derives {key!r}, "
+                    "so it takes no override")
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -317,9 +317,8 @@ def _thresholds_for(cfg: ExperimentConfig, obj, x0,
     info["rho_hat"] = rho_hat
     if cfg.mode == "theory":
         params = AssumptionParams(
-            beta=beta_hat, rho=cfg.rho if cfg.rho is not None else rho_hat,
-            epsilon=cfg.epsilon, delta=cfg.delta, f_gap=cfg.f_gap,
-            dim_d=geom.dimension, injectivity=inj, rho_hat=rho_hat)
+            beta=beta_hat, rho=rho_hat, epsilon=cfg.epsilon, delta=cfg.delta, f_gap=cfg.f_gap,
+            dim_d=geom.dimension, injectivity=inj)
         thr = derive_thresholds(params)
     else:
         thr = practical_thresholds(
@@ -477,6 +476,12 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
 
     diag = np.asarray(cfg.diag if cfg.diag is not None else [1.0, -1.0, 4.0])
     obj = DiagonalQuadratic(diag, man) if diag.shape == man.shape else None  # sphere or flat space
+    if obj is not None:
+        # the one beta of the descent audit and the coupling probe: x^T D x has Riemannian
+        # Hessian 2 P (D - f(x) I) P on the sphere and 2 D on flat space
+        spread = np.ptp(diag) if isinstance(man, Sphere) else np.max(np.abs(diag))
+        beta_hat = max(2 * float(spread), 1e-8)
+        saddle = _first_saddle(obj, man)
 
     n = cfg.n_samples
     scales = cfg.scales
@@ -497,10 +502,6 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
             reports.append(single[name](rng))
         elif name == "descent":
             center = man.random_point(rng)
-            # the gradient Lipschitz constant of x^T D x: its Riemannian Hessian
-            # is 2 P (D - f(x) I) P on the sphere and 2 D on flat space
-            spread = np.ptp(diag) if isinstance(man, Sphere) else np.max(np.abs(diag))
-            beta_hat = max(2 * float(spread), 1e-8)
             rep = geoverify.check_descent(obj, (center, 1.0), n, 0.9 / beta_hat, rng)
             rep.details["beta_hat"] = beta_hat
             reports.append(rep)
@@ -509,14 +510,13 @@ def _run_verify(cfg: ExperimentConfig, out: str, seed: int) -> ExperimentOutcome
             neg.passed = not neg.passed  # the control must produce violations
             neg.details["beta_hat"] = beta_hat
             reports.append(neg)
-        elif (saddle := _first_saddle(obj, man)) is None:  # linearization, coupling
+        elif saddle is None:  # linearization, coupling
             messages.append(f"{name}: skipped (no exact saddle for this diagonal)")
         elif name == "linearization":
             reports.append(geoverify.check_linearization(obj, man, saddle, n, scales, 0.05, rng))
         else:
-            bound = 2 * float(np.max(np.abs(diag)))
             try:
-                thr = practical_thresholds(bound, bound, cfg.epsilon,
+                thr = practical_thresholds(beta_hat, beta_hat, cfg.epsilon,
                                            dim_d=man.geometry().dimension)
                 probe = geoverify.coupling_probe(obj, man, saddle, thr, cfg.mu,
                                                  cfg.probe_steps, rng)

@@ -268,6 +268,7 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
     dir_base = int(rng.integers(2 ** 62))
     pts = [man.exp(center, man.sample_tangent_ball(center, radius, rng)) for _ in range(n_samples)]
     grads = [obj.rgrad(p) for p in pts]
+    ops = [hess_operator(obj, p) for p in pts]
     beta_hat = 0.0
     rho_hat = 0.0
     used = 0
@@ -280,13 +281,11 @@ def estimate_smoothness(obj: Objective, center: Point, radius: float,
             used += 1
             moved = man.transport(xi, xj, grads[i])
             beta_hat = max(beta_hat, _norm(grads[j].coords - moved.coords) / d)
-            op_i = hess_operator(obj, xi)
-            op_j = hess_operator(obj, xj)
             pair_rng = np.random.default_rng([dir_base, i, j])
             for _ in range(2):
                 t = unit_tangent(man, xi, pair_rng)
-                hj = op_j(man.transport(xi, xj, t))
-                hi_moved = man.transport(xi, xj, op_i(t))
+                hj = ops[j](man.transport(xi, xj, t))
+                hi_moved = man.transport(xi, xj, ops[i](t))
                 rho_hat = max(rho_hat, _norm(hj.coords - hi_moved.coords) / d)
     if used == 0:
         raise ValueError("all sampled pairs degenerate (distance < 1e-12)")

@@ -36,7 +36,7 @@ PINNED = {
         "final_point.txt": "e9fadf2ddf4a2e7f293a8767625771145ad445c460c24823ce3ec0173e92c19d",
     }),
     "verify-seed-0": ("verify.cfg", 0, None, {
-        "report_coupling.txt": "f6c3861d379a2675747731c7241510293d07257bf0f99466ad44cfd7b8ba06ce",
+        "report_coupling.txt": "63edd73154544cf5f8e88e418399bc3f878d4cb0368e25f53c2f696f1fc697ec",
         "report_descent-negative-control.txt":
             "24ada05d0d11e1381d0576ccab58bef6b1dbf67d14a568793409ac19e58ce264",
         "report_descent.txt": "8cb9bc89449b2fdfa92cdd49095d13639cc24666432c51576f396b7df4133aa7",

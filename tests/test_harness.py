@@ -14,6 +14,7 @@ from geodescent.harness import (
     burer_monteiro_instance,
     burer_monteiro_start,
     describe_thresholds,
+    fmt,
     load_config,
     parse_config,
     principal_angles,
@@ -21,7 +22,7 @@ from geodescent.harness import (
     run_experiment,
     write_matrix,
 )
-from geodescent.optimizer import TraceRow
+from geodescent.optimizer import TraceRow, practical_thresholds
 
 MINIMAL_SPHERE = """
 experiment = sphere-quadratic
@@ -34,6 +35,11 @@ VERIFY_TWO_STEP = "experiment = verify\nseed = 7\nchecks = two-step\n"
 VERIFY_COUPLING = "experiment = verify\nseed = 7\nchecks = coupling\nprobe_steps = 50\n"
 BM_P_ABOVE_DIM_D = "experiment = burer-monteiro\nseed = 7\ndim_d = 3\np = 5\nblock = 2\n"
 NAN_MATRIX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "nan_entry.txt")
+NO_HEADER_MATRIX = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "no_header.txt")
+THEORY_SPHERE = MINIMAL_SPHERE + "mode = theory\nbeta = 8\nrho_hat = 8\nf_gap = 2\n"
+OBJECTIVE_CHECKS = ["descent", "linearization", "gradient-taylor", "coupling"]
+GEOMETRY_CHECKS = ["two-step", "log-bilipschitz", "transport-contraction", "holonomy"]
+THRESHOLD_OVERRIDES = {"eta": "0.5", "r": "1e-3", "g_thres": "1e-4", "f_thres": "1e-8", "t_thres": "7"}
 
 
 class TestParseConfig:
@@ -94,7 +100,6 @@ SCHEMA_SAMPLES = {
     "epsilon": ("2.5e-3", 0.0025, "small"),
     "delta": ("0.2", 0.2, "0.2.1"),
     "beta": ("8", 8.0, "b"),
-    "rho": ("8", 8.0, "r"),
     "rho_hat": ("4", 4.0, "-"),
     "eta": ("0.05", 0.05, "1/20"),
     "r": ("1e-3", 0.001, "e-3"),
@@ -314,7 +319,49 @@ class TestRunExperiment:
             assert len(out.reports) == 8 and all(r.passed for r in out.reports), seed
             assert [m.split(" (")[0] for m in out.messages] == ["coupling: PASS"], seed
 
+    def test_shipped_verify_coupling_takes_the_descent_beta(self, tmp_path):
+        """The coupling probe derives its thresholds from beta = rho_hat = 10,
+        the beta of the descent audit, not from 2 max|d| = 8."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = load_config(os.path.join(root, "configs", "verify.cfg"))
+        run_experiment(cfg, out_dir=str(tmp_path), seed=0)
+        thr = practical_thresholds(10.0, 10.0, 1e-4, dim_d=2)
+        lines = (tmp_path / "report_coupling.txt").read_text().splitlines()
+        assert f"growth_threshold = {fmt(1.0 + thr.eta * thr.gamma / 2.0)}" in lines
 
+    def test_random_start_is_drawn_from_the_seed(self, tmp_path):
+        cfg = parse_config(MINIMAL_SPHERE + "x0 = random\n")
+        runs = [run_experiment(cfg, out_dir=str(tmp_path / str(s)), seed=s) for s in (7, 7, 8)]
+        assert [out.exit_code for out in runs] == [0, 0, 0]
+        starts = [(tmp_path / str(s) / "trace.csv").read_text().splitlines()[1] for s in (7, 8)]
+        assert starts[0] != starts[1]
+        assert runs[0].summary == runs[1].summary
+
+    @pytest.mark.parametrize("text, skipped, reason, reported", [
+        ("manifold = oblique\ndim_d = 10\np = 3\n", OBJECTIVE_CHECKS,
+         "needs a quadratic objective on sphere/euclidean", GEOMETRY_CHECKS),
+        ("manifold = grassmann\nn = 6\nk = 2\n", OBJECTIVE_CHECKS,
+         "needs a quadratic objective on sphere/euclidean", GEOMETRY_CHECKS),
+        ("manifold = sphere\nn = 3\ndiag = 1, 1, 2\n", ["linearization", "coupling"],
+         "no exact saddle for this diagonal",
+         ["descent", "descent-negative-control", *GEOMETRY_CHECKS, "gradient-taylor"]),
+    ], ids=["oblique", "grassmann", "sphere-without-saddle"])
+    def test_verify_cli_skips_the_checks_it_cannot_run(self, tmp_path, capsys, text, skipped,
+                                                       reason, reported):
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(f"experiment = verify\nseed = 7\nn_samples = 200\n{text}")
+        assert cli_main(["verify", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:len(skipped)] == [f"{name}: skipped ({reason})" for name in skipped]
+        assert [line.split(": ")[0] for line in lines[len(skipped):]] == reported
+        assert all(": PASS " in line for line in lines[len(skipped):])
+
+
+# two values of each key that a threshold mode reads
+TWO_VALUES = {"beta": ("8", "10"), "rho_hat": ("8", "20"), "eta": ("0.05", "0.01"),
+              "r": ("1e-3", "1e-2"), "g_thres": ("1e-4", "1e-3"), "f_thres": ("1e-8", "1e-7"),
+              "t_thres": ("200", "300"), "epsilon": ("1e-4", "1e-3"), "delta": ("0.1", "0.2"),
+              "f_gap": ("2", "5")}
 THRESHOLD_KEYS = ["c_hat", "c_max", "chi", "r", "f_thres", "g_thres", "t_thres", "eta",
                   "gamma", "kappa", "script_F", "script_G", "script_S", "script_T",
                   "injectivity", "mode"]
@@ -324,12 +371,14 @@ class TestDescribeThresholds:
     @pytest.mark.parametrize("mode,text", [
         ("practical", MINIMAL_SPHERE),
         ("theory", "experiment = sphere-quadratic\nseed = 7\ndiag = 1,-1,4\n"
-                   "mode = theory\nbeta = 8\nrho = 8\nf_gap = 2\nepsilon = 0.1\n"),
+                   "mode = theory\nbeta = 8\nrho_hat = 8\nf_gap = 2\nepsilon = 0.1\n"),
     ])
     def test_ordered_keys(self, mode, text):
         lines = describe_thresholds(parse_config(text)).splitlines()
         keys = [line.split(" = ")[0] for line in lines]
-        assert keys == ["mode", "seed", "beta_estimated", "rho_estimated", "beta_hat",
+        # theory mode takes beta and rho_hat from the config, so nothing is estimated
+        estimated = ["beta_estimated", "rho_estimated"] if mode == "practical" else []
+        assert keys == ["mode", "seed", *estimated, "beta_hat",
                         "rho_hat", "epsilon", "delta"] + THRESHOLD_KEYS
         assert lines[0] == lines[-1] == f"mode = {mode}"
         assert "injectivity = 3.1415926535897931" in lines
@@ -340,10 +389,27 @@ class TestDescribeThresholds:
         for key in ("beta_hat", "rho_hat", "eta", "g_thres", "f_thres", "t_thres", "r"):
             assert f"{key} = " in text
 
+    @pytest.mark.parametrize("mode,key", [
+        *[("practical", key) for key in ("beta", "rho_hat", "eta", "r", "g_thres", "f_thres",
+                                         "t_thres", "epsilon", "delta")],
+        *[("theory", key) for key in ("beta", "rho_hat", "f_gap", "epsilon", "delta")],
+    ])
+    def test_every_key_the_mode_reads_moves_the_printout(self, mode, key):
+        """No threshold key is parsed and then dropped: two values of a key
+        that the mode reads print two different derivations."""
+        base = {"experiment": "sphere-quadratic", "seed": "7", "diag": "1, -1, 4",
+                "mode": mode, "beta": "10", "rho_hat": "10"}
+        if mode == "theory":
+            base["f_gap"] = "5"
+        printouts = {describe_thresholds(parse_config(
+            "".join(f"{k} = {v}\n" for k, v in {**base, key: value}.items())))
+            for value in TWO_VALUES[key]}
+        assert len(printouts) == 2
+
     def test_theory_mode_uses_box_formulas(self):
         cfg = parse_config(
             "experiment = sphere-quadratic\nseed = 7\ndiag = 1,-1,4\n"
-            "mode = theory\nbeta = 8\nrho = 8\nf_gap = 2\nepsilon = 0.1\n")
+            "mode = theory\nbeta = 8\nrho_hat = 8\nf_gap = 2\nepsilon = 0.1\n")
         text = describe_thresholds(cfg)
         assert "mode = theory" in text
         assert "chi = " in text
@@ -409,8 +475,7 @@ class TestCli:
         ("verify", VERIFY_COUPLING + "mu = nan\n", [],
          "line 5: mu must be finite and positive, got nan"),
         ("run", MINIMAL_SPHERE + "beta = -8\n", [], "line 6: beta must be finite and positive, got -8.0"),
-        ("thresholds", MINIMAL_SPHERE + "rho = nan\n", [],
-         "line 6: rho must be finite and positive, got nan"),
+        ("thresholds", MINIMAL_SPHERE + "rho = nan\n", [], "line 6: unknown key 'rho'"),
         ("run", MINIMAL_SPHERE + "rho_hat = 0\n", [],
          "line 6: rho_hat must be finite and positive, got 0.0"),
         ("thresholds", MINIMAL_SPHERE + "eta = inf\n", [],
@@ -441,6 +506,16 @@ class TestCli:
          "line 5: diag must have n = 4 entries on sphere, got 3"),
         ("verify", "experiment = verify\nseed = 7\nmanifold = euclidean\ndiag = 1, 2\n", [],
          "line 4: diag must have n = 3 entries on euclidean, got 2"),
+        ("run", MINIMAL_SPHERE + "beta 8\n", [], "line 6: expected 'key = value', got 'beta 8'"),
+        ("run", f"experiment = kpca\nseed = 7\nk = 1\nh_file = {NO_HEADER_MATRIX}\n", [],
+         f"problem setup failed: {NO_HEADER_MATRIX}: missing 'rows cols' header"),
+        ("run", "experiment = kpca\nseed = 7\nk = 2\nh_diag = 0 1 2\nx0_cols = 0, 3\n", [],
+         "problem setup failed: x0_cols must be 2 column indices in [0, 3)"),
+        ("thresholds", THEORY_SPHERE.replace("rho_hat", "rho"), [],
+         "theory mode requires 'rho_hat'"),
+        *[("thresholds", THEORY_SPHERE + f"{key} = {value}\n", [],
+           f"line 10: theory mode derives {key!r}, so it takes no override")
+          for key, value in THRESHOLD_OVERRIDES.items()],
     ], ids=["seed-in-config", "seed-override", "x0-length", "verify-n", "thresholds-seed",
             "verify-n-samples", "verify-one-scale", "verify-no-scales", "verify-probe-steps",
             "verify-epsilon-0", "run-epsilon-nan", "verify-mu-nan", "beta-negative", "rho-nan",
@@ -448,7 +523,10 @@ class TestCli:
             "delta-0", "max_iters-negative", "t_thres-0",
             "run-bm-p-above-dim_d", "thresholds-bm-p-above-dim_d",
             "x0-nan", "thresholds-x0-infeasible", "kpca-h_file-nan", "bm-a_file-nan",
-            "verify-sphere-diag-length", "verify-euclidean-diag-length"])
+            "verify-sphere-diag-length", "verify-euclidean-diag-length",
+            "line-without-equals", "kpca-h_file-no-header", "kpca-x0_cols-out-of-range",
+            "theory-rho-without-rho_hat",
+            *[f"theory-{key}" for key in THRESHOLD_OVERRIDES]])
     def test_bad_value_exits_2_naming_it(self, tmp_path, capsys, command, text, extra, message):
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(text)

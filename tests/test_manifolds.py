@@ -795,6 +795,16 @@ def test_transport_rejects_a_base_point_from_another_manifold(cls):
     assert str(exc.value) == f"point on {other.name}, expected {man.name}"
 
 
+@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
+def test_exp_rejects_a_tangent_anchored_at_another_point(cls):
+    man = FOREIGN[cls][0]
+    rng = np.random.default_rng(0)
+    x, y = man.random_point(rng), man.random_point(rng)
+    v = man.project_tangent(y, rng.standard_normal(man.shape))
+    with pytest.raises(ValueError, match="tangent vector anchored at a different point"):
+        man.exp(x, v)
+
+
 class TestCoordsOwnership:
     @pytest.mark.parametrize("make", [Point, tangent_at_random_point], ids=["point", "tangent"])
     def test_writeable_source_or_readonly_view_is_copied(self, make):

@@ -588,6 +588,27 @@ class TestSmoothness:
         assert est_big.beta_hat >= est_small.beta_hat
         assert est_big.rho_hat >= est_small.rho_hat
 
+    @pytest.mark.parametrize("make, start, beta_hex, rho_hex", [
+        (lambda: KPCA(H5, 3), np.eye(5)[:, [1, 2, 3]],
+         "0x1.5bc83b08cd240p+1", "0x1.7c7e46d2ccf3dp+0"),
+        (lambda: without_closed_form(KPCA(H5, 3)), np.eye(5)[:, [1, 2, 3]],
+         "0x1.5bc83b08cd240p+1", "0x1.7c7e46d27ddb2p+0"),
+        (fig_objective, np.array([1.0, 0.0, 0.0]),
+         "0x1.981fb60ba0fcbp+2", "0x1.ef81633ad768ap+2"),
+    ], ids=["kpca", "kpca-differenced", "sphere(3)"])
+    def test_one_hessian_operator_per_sampled_point(self, make, start, beta_hex, rho_hex,
+                                                    monkeypatch):
+        """Each sampled point binds its Hessian operator once, for all the
+        pairs it is in; the estimates keep the bits of an operator per pair."""
+        calls, real = [], objectives.hess_operator
+        monkeypatch.setattr(objectives, "hess_operator",
+                            lambda obj, x: calls.append(x) or real(obj, x))
+        obj = make()
+        est = estimate_smoothness(obj, Point(obj.manifold, start), 0.5, 12,
+                                  np.random.default_rng(0))
+        assert len(calls) == 12
+        assert (est.beta_hat.hex(), est.rho_hat.hex()) == (beta_hex, rho_hex)
+
     def test_requires_two_samples(self):
         with pytest.raises(ValueError, match="n_samples"):
             estimate_smoothness(fig_objective(), saddle_point(), 0.1, 1,
