@@ -120,12 +120,22 @@ _TYPE_PARSERS = {
 _PARSERS = {f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")]
             for f in fields(ExperimentConfig)}
 
+# the keys a run config reads: those of every run, its experiment's
+# (`_build_problem`) and its mode's (`_thresholds_for`)
+_OVERRIDES = {"eta", "r", "g_thres", "f_thres", "t_thres"}
+_RUN_KEYS = {"experiment", "seed", "mode", "max_iters", "out_dir", "epsilon", "delta", "beta",
+             "rho_hat"}
+_EXPERIMENT_KEYS = {"sphere-quadratic": {"diag", "x0"}, "kpca": {"k", "h_diag", "h_file", "x0_cols"},
+                    "burer-monteiro": {"dim_d", "p", "block", "a_file"}}
+_MODE_KEYS = {"practical": _OVERRIDES, "theory": {"f_gap"}}
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key=value config.
 
     Raises ConfigError listing every problem (unknown keys, type mismatches,
-    missing required fields), each with its line number.
+    missing required fields, keys a run config's experiment and mode do not
+    read), each with its line number.
     """
     cfg = ExperimentConfig()
     errors: list[str] = []
@@ -198,9 +208,14 @@ def parse_config(text: str) -> ExperimentConfig:
     if cfg.mode == "theory" and cfg.experiment != "verify":
         for key in ("f_gap", "beta", "rho_hat"):
             require(key in seen, f"theory mode requires {key!r}")
-        for key in ("eta", "r", "g_thres", "f_thres", "t_thres"):
-            require(key not in seen, f"line {seen.get(key)}: theory mode derives {key!r}, "
-                    "so it takes no override")
+    if cfg.experiment in _EXPERIMENT_KEYS and cfg.mode in _MODE_KEYS:
+        reads = _RUN_KEYS | _EXPERIMENT_KEYS[cfg.experiment] | _MODE_KEYS[cfg.mode]
+        if cfg.a_file is not None:  # the cost matrix is read, not drawn from dim_d and block
+            reads -= {"dim_d", "block"}
+        for key in sorted(seen.keys() - reads, key=seen.get):
+            errors.append(f"line {seen[key]}: " + (
+                f"theory mode derives {key!r}, so it takes no override" if key in _OVERRIDES
+                else f"a {cfg.mode} {cfg.experiment} run does not read {key!r}"))
     if errors:
         raise ConfigError(errors)
     return cfg

@@ -31,7 +31,6 @@ TANGENT_TOL = 1e-10   # tangency residual allowed on tangent vectors
 # division by 1 + x.y never divides by zero or flips sign.
 CUT_MARGIN = 1e-4
 _F8 = np.dtype(float)
-_TINY = np.finfo(float).tiny  # smallest normal float64, 2.2250738585072014e-308
 
 
 class GeometryError(ValueError):
@@ -397,7 +396,8 @@ class _UnitRows:
     Each body is written once, on the last axis, with `np.vecdot` (which
     rounds like `ndarray.dot`) and `np.arctan2`, so it acts alike on a sphere
     point, on each row of an oblique point, and on a stack of either.  Under
-    `exp`, a row whose tangent norm is 0, also by underflow, keeps its point.
+    `exp`, a row whose tangent norm is 0, also by underflow, keeps its point
+    and is not computed.
     Not a `Manifold` subclass, so it is not listed as a manifold: it only
     supplies methods.
     """
@@ -413,14 +413,21 @@ class _UnitRows:
         moving = np.count_nonzero(th)
         if not moving:  # zero tangents, or ones whose norm underflows
             return x
-        # below th = 1e-9, cos = 1 and sin(t)/t = 1: y = x + v, cubic error below
-        # rounding; a norm that underflows to 0 divides by the smallest normal
-        ts = np.maximum(th, _TINY)
-        y = np.cos(ts) * x + (np.sin(ts) / ts) * v
-        y /= np.sqrt(np.vecdot(y, y, keepdims=True))
-        if moving < th.size:
-            np.copyto(y, x, where=th == 0.0)
+        if moving == th.size:
+            return readonly(self._exp_rows(x, v, th))
+        rows = th[..., 0] != 0.0  # the rest keep their point and are not computed
+        y = x.copy()
+        y[rows] = self._exp_rows(x[rows], v[rows], th[rows])
         return readonly(y)
+
+    @staticmethod
+    def _exp_rows(x, v, th):
+        """exp on rows whose tangent norms th are nonzero (a nonzero norm is
+        at least 2.2e-162, as its square does not underflow to 0)."""
+        # below th = 1e-9, cos = 1 and sin(t)/t = 1: y = x + v, cubic error below rounding
+        y = np.cos(th) * x + (np.sin(th) / th) * v
+        y /= np.sqrt(np.vecdot(y, y, keepdims=True))
+        return y
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):

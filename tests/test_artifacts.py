@@ -4,8 +4,10 @@ A change that alters an artifact's bytes on purpose updates its digest here
 and says so in CHANGES.md; any other change must leave them all alone.  The
 kpca run goes through Grassmann SVDs and QRs and BLAS matrix products, so its
 digests hold on the host that pinned them (numpy 2.4, x86-64 OpenBLAS).  The
-Burer-Monteiro run takes 2-3 s to its end, so it is pinned at its first 5,000
-steps, which end at the iteration cap inside the first window.
+Burer-Monteiro run is pinned at its first 5,000 steps, which end at the
+iteration cap inside the first window, and to its end (31,530 steps, 1-2 s),
+which takes the perturbation, where every row of Y moves, and the Hessian
+products of the smoothness estimate and the certificate.
 """
 
 import dataclasses
@@ -34,6 +36,11 @@ PINNED = {
         "trace.csv": "9a51e4ec3438bea67db3c2ddd0dc5723267393ca92f39c48bac471c949dedfb4",
         "summary.txt": "955af210313be413fa43f7d6a975ebccf719db6c8ac10e7ebf30332e1b754e97",
         "final_point.txt": "e9fadf2ddf4a2e7f293a8767625771145ad445c460c24823ce3ec0173e92c19d",
+    }),
+    "burer-monteiro-seed-7": ("burer-monteiro.cfg", 7, None, {
+        "trace.csv": "e983399812542b2f08f044bafbe4ed79ff6437425114d59870c34b16fd8b5047",
+        "summary.txt": "2fd88c7557ba2dfd98ca10ce4f9e94801717984af87863d53fa2029ab06b18f0",
+        "final_point.txt": "55922c859655bae81bc1fcf0284d7c3a692b6254f35c0b4bb5d75a6beed188d2",
     }),
     "verify-seed-0": ("verify.cfg", 0, None, {
         "report_coupling.txt": "63edd73154544cf5f8e88e418399bc3f878d4cb0368e25f53c2f696f1fc697ec",

@@ -127,6 +127,52 @@ SCHEMA_SAMPLES = {
 }
 
 
+# a minimal valid config of each run experiment, in practical mode
+RUN_CONFIGS = {"sphere-quadratic": MINIMAL_SPHERE.lstrip(),
+               "kpca": "experiment = kpca\nseed = 7\nk = 2\nh_diag = 0 1 2\n",
+               "burer-monteiro": "experiment = burer-monteiro\nseed = 7\n"}
+VERIFY_ONLY_KEYS = ["manifold", "n", "checks", "n_samples", "scales", "mu", "probe_steps"]
+
+
+class TestUnreadKeys:
+    """A run config sets only keys its experiment and mode read, so that no
+    key is parsed and then dropped."""
+
+    @pytest.mark.parametrize("experiment, key", [
+        *[(e, key) for e in RUN_CONFIGS for key in VERIFY_ONLY_KEYS + ["f_gap"]],
+        ("sphere-quadratic", "k"), ("sphere-quadratic", "a_file"), ("kpca", "diag"),
+        ("kpca", "x0"), ("kpca", "dim_d"), ("burer-monteiro", "x0"), ("burer-monteiro", "k"),
+        ("burer-monteiro", "h_diag")])
+    def test_key_the_run_does_not_read_is_an_error(self, experiment, key):
+        text = RUN_CONFIGS[experiment] + f"{key} = {SCHEMA_SAMPLES[key][0]}\n"
+        parse_config(RUN_CONFIGS[experiment])
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        lineno = text.count("\n")
+        assert exc.value.errors == [f"line {lineno}: a practical {experiment} run does not read {key!r}"]
+
+    @pytest.mark.parametrize("key", ["dim_d", "block"])
+    def test_a_file_run_does_not_read_the_drawn_instance_keys(self, key):
+        """With a_file, a Burer-Monteiro run reads its cost matrix from the
+        file: dim_d and block, which size the drawn instance, are not read."""
+        text = f"experiment = burer-monteiro\nseed = 7\na_file = a.txt\n{key} = 40\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert exc.value.errors == [f"line 4: a practical burer-monteiro run does not read {key!r}"]
+
+    @pytest.mark.parametrize("f_gap", ["2", "5"])
+    def test_practical_f_gap_exits_2(self, f_gap, tmp_path, capsys):
+        """Two practical configs that differed only in f_gap printed the
+        same thresholds: practical mode does not read it."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("experiment = sphere-quadratic\nseed = 7\ndiag = 1,-1,4\nbeta = 10\n"
+                            f"rho_hat = 10\nf_gap = {f_gap}\n")
+        assert cli_main(["thresholds", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert "line 6: a practical sphere-quadratic run does not read 'f_gap'" in captured.err
+        assert captured.out == ""
+
+
 class TestConfigSchema:
     def test_samples_cover_every_field(self):
         assert set(SCHEMA_SAMPLES) == {f.name for f in fields(ExperimentConfig)}

@@ -1262,7 +1262,10 @@ def test_host_facts_the_stacked_bodies_rely_on():
     bytes: np.vecdot rounds like ndarray.dot (both BLAS ddot), numpy's cos
     and sin round like libm's, and np.arctan2 gives an element the same
     bits whether it is called on it alone, in a chunk of 3 or on the whole
-    array, so a sphere point, an oblique point's rows and a stack agree."""
+    array, so a sphere point, an oblique point's rows and a stack agree.
+    A quadratic form whose M has few nonzero rows forms M X on those rows
+    alone: on Burer-Monteiro costs (100 x 100, a 5 x 5 block), M[rows] @ X
+    scattered into zeros has the bits of M @ X, for a point and a stack."""
     rng = np.random.default_rng(0)
     for n in (2, 3, 20):
         a, b = rng.standard_normal((2, 20000, n))
@@ -1275,3 +1278,12 @@ def test_host_facts_the_stacked_bodies_rely_on():
     assert np.array_equal(bits([np.arctan2(float(p), float(q)) for p, q in zip(s, c)]), whole)
     assert np.array_equal(bits(np.concatenate([np.arctan2(s[i:i + 3], c[i:i + 3])
                                                for i in range(0, len(s), 3)])), whole)
+    for seed in range(6):
+        g = np.random.default_rng(seed).standard_normal((5, 5))
+        m = np.zeros((100, 100))
+        m[:5, :5] = (g + g.T) / 2.0
+        rows = np.flatnonzero(m.any(axis=1))
+        for x in (rng.standard_normal((100, 20)), rng.standard_normal((8, 100, 20))):
+            out = np.zeros(x.shape)
+            out[..., rows, :] = m[rows] @ x
+            assert np.array_equal(bits(out), bits(m @ x))

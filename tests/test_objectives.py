@@ -26,7 +26,9 @@ from geodescent import (
     min_hess_eig,
     objectives,
 )
-from geodescent.harness import _build_problem, _seed_streams, load_config, run_experiment
+from geodescent.harness import (
+    _build_problem, _seed_streams, burer_monteiro_instance, load_config, run_experiment,
+)
 from oracles import central_diff_along_geodesic, dense_hessian_matrix
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -134,6 +136,10 @@ def without_closed_form(obj):
     return obj
 
 
+def bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
 def ddot_value(c, mc):
     """1/2 <c, M c> by BLAS ddot over the flattened coordinates."""
     return 0.5 * float(c.ravel().dot(mc.ravel()))
@@ -176,6 +182,39 @@ class TestQuadraticFormSameBits:
                 pv = man.project_tangent(x, v.coords).coords
                 want = man.project_tangent(x, 2.0 * (d * pv - np.vecdot(c, d * c) * pv)).coords
             assert obj.exact_hess(x, v).coords.tobytes() == want.tobytes()
+
+
+class TestQuadraticFormRows:
+    """A matrix M with at most half of its rows nonzero forms M X on those
+    rows, and every oracle keeps the bits of its dense-M expression."""
+
+    def test_which_forms_keep_their_rows(self):
+        bm = BurerMonteiro(burer_monteiro_instance(100, 20, 5, np.random.default_rng(0)), 20)
+        assert np.array_equal(bm._m, bm.a[:5]) and np.array_equal(bm._half, 0.5 * bm.a[:5])
+        for dense in (KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20)):
+            assert dense._m.shape == (len(dense._m),) * 2 and dense._times is np.matmul
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_oracles_keep_the_dense_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        obj = BurerMonteiro(burer_monteiro_instance(100, 20, 5, rng), 20)
+        man, a = obj.manifold, obj.a
+        xs = [man.random_point(rng) for _ in range(6)]
+        vs = [man.sample_tangent_ball(p, 0.5, rng) for p in xs]
+        x = Point(man, np.array([p.coords for p in xs]))
+        v = Tangent(x, np.array([t.coords for t in vs]))
+        for p, t in [*zip(xs, vs), (x, v)]:
+            c, ac = p.coords, a @ p.coords
+            value = (ddot_value(c, ac) if c.ndim == 2 else
+                     np.array([ddot_value(ci, ai) for ci, ai in zip(c, ac)]))
+            rgrad = man.project_tangent(p, ac).coords
+            pv = man.project_tangent(p, t.coords).coords
+            hess = man.project_tangent(p, a @ pv - man._weingarten(c, pv, ac)).coords
+            f, g = obj.value_and_rgrad(p)
+            assert bits(obj.value(p)) == bits(f) == bits(value)
+            assert bits(obj.ambient_grad(p)) == bits(ac)
+            assert bits(g.coords) == bits(obj.rgrad(p).coords) == bits(rgrad)
+            assert bits(obj.exact_hess(p, t).coords) == bits(hess)
 
 
 class RowCubic(Objective):
@@ -431,6 +470,22 @@ class TestHessOperator:
         x = obj.manifold.random_point(rng)
         objectives.hess_operator(obj, x)(obj.manifold.sample_tangent_ball(x, 1.0, rng))
         assert fd_calls == [obj]
+
+    def test_quadratic_form_forms_m_x_once_per_point(self):
+        """The bound operator forms M x once, then one product with M per
+        Hessian product, with the bits of `exact_hess`."""
+        obj = BurerMonteiro(burer_monteiro_instance(100, 20, 5, np.random.default_rng(0)), 20)
+        man = obj.manifold
+        rng = np.random.default_rng(1)
+        x = man.random_point(rng)
+        vs = [man.sample_tangent_ball(x, 1.0, rng) for _ in range(3)]
+        want = [obj.exact_hess(x, v).coords for v in vs]
+        calls, real = [], obj._times
+        obj._times = lambda m, c: calls.append(c) or real(m, c)
+        op = objectives.hess_operator(obj, x)
+        assert len(calls) == 1 and calls[0] is x.coords
+        assert [bits(op(v).coords) for v in vs] == [bits(w) for w in want]
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("config, cap", [("kpca.cfg", {}), ("burer-monteiro.cfg", {"max_iters": 200})],
                              ids=["kpca", "burer-monteiro"])
