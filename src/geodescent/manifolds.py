@@ -178,6 +178,9 @@ class Manifold:
     name: str = "manifold"
     shape: tuple[int, ...] = ()
     _geometry: GeometryInfo  # built once by each subclass's __init__
+    # True where a point's rows are the factors of a product manifold, so that
+    # `_project` and the exp body `_exp_rows` act on each row alone (oblique)
+    _row_factors = False
 
     # -- geometry data -------------------------------------------------
 
@@ -498,6 +501,8 @@ class Oblique(_UnitRows, Manifold):
     row by row; the distance is the l2 combination of the per-row
     great-circle distances.
     """
+
+    _row_factors = True
 
     def __init__(self, d: int, p: int):
         if d < 1 or p < 2:

@@ -43,6 +43,9 @@ class Objective:
 
     manifold: Manifold
     exact_hess = None
+    # rows outside which every gradient is zero, on a manifold of row factors:
+    # `prgd_step`'s gradient step runs on them alone (see `_QuadraticForm`)
+    _step_rows = None
 
     def value(self, x: Point) -> float:
         raise NotImplementedError
@@ -75,9 +78,10 @@ def _stacked(f, x: Point, shape: tuple):
     return np.array([f(Point(x.manifold, c)) for c in x.coords])
 
 
-def _row_product(rows: np.ndarray, m_rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """M X from M's nonzero rows `m_rows` = M[rows]: their product with X
-    (or with each sample of a stack), scattered into zeros."""
+def _row_product(rows, m_rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M X from M's nonzero rows `m_rows` = M[rows], `rows` a slice or an
+    index: their product with X (or with each sample of a stack), scattered
+    into zeros."""
     out = np.zeros(c.shape)
     out[..., rows, :] = m_rows @ c
     return out
@@ -92,6 +96,12 @@ class _QuadraticForm(Objective):
     block) forms M X as M[rows] X scattered into zeros, with the bits of the
     full product at a finite X: a zero row of M gives the +0.0 row the full
     product gives, and each kept row is summed over all of M's columns alike.
+    The rows are a slice when they are one run (a view, so no gather), else an
+    index.  Where the manifold's maps act on each row alone (the oblique
+    manifold), they are also the step rows: `value_and_rgrad` projects M X on
+    them alone and leaves +0.0 elsewhere, which is what the projection of a
+    zero row gives, and a gradient step moves only them (`clamped_step`).
+    Grassmann's projection mixes rows, so a KPCA keeps the row product alone.
     """
 
     def __init__(self, m: np.ndarray, manifold: Manifold, label: str):
@@ -112,7 +122,11 @@ class _QuadraticForm(Objective):
         # most half".  All columns are kept, as a product over fewer of them
         # may round a kept row differently.
         if m.ndim == 2 and 2 * len(rows := np.flatnonzero(m.any(axis=1))) <= len(m):
+            if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one run
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
             m, self._times = m[rows], partial(_row_product, rows)
+            if manifold._row_factors:
+                self._step_rows = rows
         self._m, self._half = m, 0.5 * m  # (M / 2) X is (M X) / 2 exactly, bit for bit
         self._nd = len(manifold.shape)
         self.manifold = manifold
@@ -124,9 +138,15 @@ class _QuadraticForm(Objective):
         return readonly(self._times(self._m, x.coords))
 
     def value_and_rgrad(self, x):
-        self.manifold._check_point(x)
-        mc = self._times(self._m, x.coords)
-        return 0.5 * _dots(x.coords, mc, self._nd), Tangent(x, self.manifold._project(x.coords, mc))
+        man, c, rows = self.manifold, x.coords, self._step_rows
+        man._check_point(x)
+        if rows is None:
+            mc = self._times(self._m, c)
+            return 0.5 * _dots(c, mc, self._nd), Tangent(x, man._project(c, mc))
+        mc, g = np.zeros(c.shape), np.zeros(c.shape)
+        mc[..., rows, :] = m_rows = self._m @ c
+        g[..., rows, :] = man._project(c[..., rows, :], m_rows)
+        return 0.5 * _dots(c, mc, self._nd), Tangent(x, readonly(g))
 
     def exact_hess(self, x, v):
         return self._hess_at(x)(v)

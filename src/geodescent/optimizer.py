@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .manifolds import Point, Tangent
+from .manifolds import Point, Tangent, readonly
 from .objectives import Objective
 
 STATUS_SECOND_ORDER = "second-order-point"
@@ -277,15 +277,28 @@ def _finish(status: str, x: Point, fx: float, gnorm: float, trace: Trace) -> Run
     return RunResult(status, x, fx, gnorm, len(trace), trace)
 
 
-def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float) -> tuple[Point, float]:
+def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
+                 rows=None) -> tuple[Point, float]:
     """Gradient step of geodesic length min(eta * gnorm, inj), with inj the
     injectivity radius of `man`.
 
     Returns the next point and eta_bar = min(eta, inj / gnorm), or (x, 0.0)
-    when gnorm is not positive."""
+    when gnorm is not positive.  `rows` (an objective's `_step_rows`: a slice
+    or an index of the rows outside which grad is zero, on a manifold whose
+    maps act row by row) runs the step and the unit-row exp body on those rows
+    alone and copies x elsewhere, with the bits of the whole step, where every
+    row outside keeps its point; if one of those rows has a zero tangent norm
+    (also by underflow), the whole step runs as without `rows`."""
     if not gnorm > 0:
         return x, 0.0
     eta_bar = min(eta, man.geometry().injectivity_radius / gnorm)
+    if rows is not None:
+        v = -eta_bar * grad.coords[rows]
+        th = np.sqrt(np.vecdot(v, v, keepdims=True))
+        if np.count_nonzero(th) == len(th):
+            y = x.coords.copy()
+            y[rows] = man._exp_rows(x.coords[rows], v, th)
+            return Point(man, readonly(y)), eta_bar
     return Point(man, man._exp(x.coords, -eta_bar * grad.coords)), eta_bar
 
 
@@ -331,7 +344,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         state.trace.append(fx, gnorm, 0.0, False)
         return _finish(STATUS_SECOND_ORDER, xt, f_out, g_out.norm(), state.trace)
 
-    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta)
+    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, obj._step_rows)
     state.trace.append(fx, gnorm, eta_bar * gnorm, perturbed)
     state.x = x_next
     state.t += 1

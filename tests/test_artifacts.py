@@ -7,7 +7,11 @@ digests hold on the host that pinned them (numpy 2.4, x86-64 OpenBLAS).  The
 Burer-Monteiro run is pinned at its first 5,000 steps, which end at the
 iteration cap inside the first window, and to its end (31,530 steps, 1-2 s),
 which takes the perturbation, where every row of Y moves, and the Hessian
-products of the smoothness estimate and the certificate.
+products of the smoothness estimate and the certificate.  A second
+Burer-Monteiro run reads its cost matrix from `tests/data`, a 5 x 5 block on
+the scattered rows 3, 17, 42, 64 and 90, so its steps run on an index of rows
+where the drawn block's run on a slice; it is pinned to its end (2,665 steps).
+Configs and the paths in them are read from the repository root.
 """
 
 import dataclasses
@@ -22,27 +26,32 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # config, seed, max_iters (None: the config's), {file: sha256}
 PINNED = {
-    "figure1-seed-7": ("figure1.cfg", 7, None, {
+    "figure1-seed-7": ("configs/figure1.cfg", 7, None, {
         "trace.csv": "3016c0db2c1621a7c95fee1a7b258313e8dd9824893ba73f6a52423d6debb58d",
         "summary.txt": "dc80690a2a787e578121fde5121118c637ebc2af65527e1679efe9bd16a3fca8",
         "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
     }),
-    "kpca-seed-0": ("kpca.cfg", 0, None, {
+    "kpca-seed-0": ("configs/kpca.cfg", 0, None, {
         "trace.csv": "b54c6ceaa46402c5c470026b357d0b082c4adb4884dec2e4965bc0458408035a",
         "summary.txt": "acfa527fd063d9a83845cb1b9d31eb47ac024f5f60d8afe88dddd7f3f969f42c",
         "final_point.txt": "456af57061e7ab451a747493b40b46798ea7f22381c5c80809b4281bf63d9c82",
     }),
-    "burer-monteiro-seed-7-5000-steps": ("burer-monteiro.cfg", 7, 5000, {
+    "burer-monteiro-seed-7-5000-steps": ("configs/burer-monteiro.cfg", 7, 5000, {
         "trace.csv": "9a51e4ec3438bea67db3c2ddd0dc5723267393ca92f39c48bac471c949dedfb4",
         "summary.txt": "955af210313be413fa43f7d6a975ebccf719db6c8ac10e7ebf30332e1b754e97",
         "final_point.txt": "e9fadf2ddf4a2e7f293a8767625771145ad445c460c24823ce3ec0173e92c19d",
     }),
-    "burer-monteiro-seed-7": ("burer-monteiro.cfg", 7, None, {
+    "burer-monteiro-seed-7": ("configs/burer-monteiro.cfg", 7, None, {
         "trace.csv": "e983399812542b2f08f044bafbe4ed79ff6437425114d59870c34b16fd8b5047",
         "summary.txt": "2fd88c7557ba2dfd98ca10ce4f9e94801717984af87863d53fa2029ab06b18f0",
         "final_point.txt": "55922c859655bae81bc1fcf0284d7c3a692b6254f35c0b4bb5d75a6beed188d2",
     }),
-    "verify-seed-0": ("verify.cfg", 0, None, {
+    "burer-monteiro-scattered-seed-7": ("tests/data/burer-monteiro-scattered.cfg", 7, None, {
+        "trace.csv": "1a5385a578065880d87c50d7c86fc4ac8447b99278aff05e2c94269c0332a102",
+        "summary.txt": "ff3c124ab6c744b92eeb0feea01b5b82340211b1c74a9a92aee3e52ca518ba53",
+        "final_point.txt": "0e3e9395ed2e49136aab0e9c79a5312160b4947bb207b3d644e62713ede680e8",
+    }),
+    "verify-seed-0": ("configs/verify.cfg", 0, None, {
         "report_coupling.txt": "63edd73154544cf5f8e88e418399bc3f878d4cb0368e25f53c2f696f1fc697ec",
         "report_descent-negative-control.txt":
             "24ada05d0d11e1381d0576ccab58bef6b1dbf67d14a568793409ac19e58ce264",
@@ -59,9 +68,10 @@ PINNED = {
 
 
 @pytest.mark.parametrize("run", list(PINNED))
-def test_shipped_run_writes_the_pinned_bytes(run, tmp_path):
+def test_shipped_run_writes_the_pinned_bytes(run, tmp_path, monkeypatch):
     config, seed, max_iters, want = PINNED[run]
-    cfg = load_config(os.path.join(ROOT, "configs", config))
+    monkeypatch.chdir(ROOT)
+    cfg = load_config(config)
     if max_iters is not None:
         cfg = dataclasses.replace(cfg, max_iters=max_iters)
     out = run_experiment(cfg, out_dir=str(tmp_path), seed=seed)

@@ -1265,7 +1265,10 @@ def test_host_facts_the_stacked_bodies_rely_on():
     array, so a sphere point, an oblique point's rows and a stack agree.
     A quadratic form whose M has few nonzero rows forms M X on those rows
     alone: on Burer-Monteiro costs (100 x 100, a 5 x 5 block), M[rows] @ X
-    scattered into zeros has the bits of M @ X, for a point and a stack."""
+    scattered into zeros has the bits of M @ X, for a point and a stack, with
+    the rows an index or a slice.  On the oblique manifold a step then runs
+    on those rows alone: np.vecdot and `_project` on a row slice give the
+    bits of the same rows of the whole call."""
     rng = np.random.default_rng(0)
     for n in (2, 3, 20):
         a, b = rng.standard_normal((2, 20000, n))
@@ -1284,6 +1287,15 @@ def test_host_facts_the_stacked_bodies_rely_on():
         m[:5, :5] = (g + g.T) / 2.0
         rows = np.flatnonzero(m.any(axis=1))
         for x in (rng.standard_normal((100, 20)), rng.standard_normal((8, 100, 20))):
-            out = np.zeros(x.shape)
-            out[..., rows, :] = m[rows] @ x
-            assert np.array_equal(bits(out), bits(m @ x))
+            mx = m @ x
+            for r in (rows, slice(0, 5)):
+                out = np.zeros(x.shape)
+                out[..., r, :] = m[r] @ x
+                assert np.array_equal(bits(out), bits(mx))
+            r = slice(0, 5)
+            x /= np.sqrt(np.vecdot(x, x, keepdims=True))
+            assert np.array_equal(bits(np.vecdot(x[..., r, :], mx[..., r, :])),
+                                  bits(np.vecdot(x, mx)[..., r]))
+            oblique = Oblique(100, 20)
+            assert np.array_equal(bits(oblique._project(x[..., r, :], mx[..., r, :])),
+                                  bits(oblique._project(x, mx)[..., r, :]))

@@ -27,8 +27,10 @@ from geodescent import (
     objectives,
 )
 from geodescent.harness import (
-    _build_problem, _seed_streams, burer_monteiro_instance, load_config, run_experiment,
+    _build_problem, _seed_streams, burer_monteiro_instance, burer_monteiro_start, load_config,
+    run_experiment,
 )
+from geodescent.optimizer import OptState, clamped_step, practical_thresholds, prgd_step
 from oracles import central_diff_along_geodesic, dense_hessian_matrix
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -184,15 +186,38 @@ class TestQuadraticFormSameBits:
             assert obj.exact_hess(x, v).coords.tobytes() == want.tobytes()
 
 
+SCATTERED = [3, 17, 42, 64, 90]
+
+
+def scattered(a):
+    """a conjugated by a row permutation that puts its rows 0-4 on SCATTERED,
+    and the permutation's inverse, which maps a point of a to one of it."""
+    perm = np.concatenate([SCATTERED, np.setdiff1d(np.arange(len(a)), SCATTERED)])
+    inv = np.argsort(perm)
+    return a[np.ix_(inv, inv)], inv
+
+
 class TestQuadraticFormRows:
     """A matrix M with at most half of its rows nonzero forms M X on those
-    rows, and every oracle keeps the bits of its dense-M expression."""
+    rows, and every oracle keeps the bits of its dense-M expression.  Where
+    the manifold's maps act on each row alone (the oblique manifold), a PRGD
+    step runs on those rows too, with the same bits."""
 
     def test_which_forms_keep_their_rows(self):
         bm = BurerMonteiro(burer_monteiro_instance(100, 20, 5, np.random.default_rng(0)), 20)
         assert np.array_equal(bm._m, bm.a[:5]) and np.array_equal(bm._half, 0.5 * bm.a[:5])
         for dense in (KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20)):
             assert dense._m.shape == (len(dense._m),) * 2 and dense._times is np.matmul
+        # the step rows: a slice for one run of rows, else an index, and only
+        # on a manifold whose maps act on each row alone
+        assert bm._step_rows == slice(0, 5)
+        a, _ = scattered(bm.a)
+        assert np.array_equal(BurerMonteiro(a, 20)._step_rows, SCATTERED)
+        sparse_kpca = KPCA(np.diag([0.0, 0.0, 0.0, 3.0, 4.0]), 2)
+        assert np.array_equal(sparse_kpca._m, -sparse_kpca.h[3:]) and sparse_kpca._times is not np.matmul
+        for other in (sparse_kpca, KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20),
+                      fig_objective()):
+            assert other._step_rows is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_oracles_keep_the_dense_bits(self, seed):
@@ -215,6 +240,107 @@ class TestQuadraticFormRows:
             assert bits(obj.ambient_grad(p)) == bits(ac)
             assert bits(g.coords) == bits(obj.rgrad(p).coords) == bits(rgrad)
             assert bits(obj.exact_hess(p, t).coords) == bits(hess)
+
+    @staticmethod
+    def dense_steps(obj, a, x, steps, eta=0.29):
+        """`steps` row steps from x (value_and_rgrad, then clamped_step on the
+        objective's step rows), each checked bit for bit, signs of zero
+        included, against the dense-A expressions; the end point."""
+        man = obj.manifold
+        for _ in range(steps):
+            c = x.coords
+            f, g = obj.value_and_rgrad(x)
+            want = man.project_tangent(x, a @ c).coords
+            assert bits(f) == bits(ddot_value(c, a @ c)) and bits(g.coords) == bits(want)
+            y, eta_bar = clamped_step(man, x, g, g.norm(), eta, obj._step_rows)
+            assert bits(y.coords) == bits(Oblique._exp(man, c, -eta_bar * want))
+            x = y
+        return x
+
+    @pytest.fixture
+    def block_start(self):
+        """The burer-monteiro.cfg instance (seed 7) and its block start, perturbed."""
+        rng = np.random.default_rng(7)
+        obj = BurerMonteiro(burer_monteiro_instance(100, 20, 5, rng), 20)
+        x0 = Point(obj.manifold, burer_monteiro_start(100, 20))
+        return obj, obj.manifold.exp(x0, obj.manifold.sample_tangent_ball(x0, 0.03, rng)), rng
+
+    @staticmethod
+    def fallbacks(man, monkeypatch):
+        """Calls of `man._exp`, which `clamped_step` makes only when a step row
+        does not move."""
+        calls = []
+        monkeypatch.setattr(man, "_exp", lambda c, v: calls.append(1) or Oblique._exp(man, c, v))
+        return calls
+
+    @pytest.mark.parametrize("rows", ["block", "scattered"])
+    def test_row_steps_keep_the_dense_bits(self, block_start, monkeypatch, rows):
+        """The first 100 steps move every step row (the slice path, or the
+        index path).  By step 300 the gradient is at rounding level (about
+        1e-15), where on the scattered rows 704 of the steps have a row whose
+        gradient rounds to 0 and run as a whole step."""
+        obj, x, _ = block_start
+        a, keep = obj.a, slice(5, None)
+        if rows == "scattered":
+            a, inv = scattered(a)
+            obj, x = BurerMonteiro(a, 20), Point(obj.manifold, x.coords[inv])
+            keep = np.setdiff1d(np.arange(100), SCATTERED)
+        assert (obj._step_rows == slice(0, 5) if rows == "block"
+                else np.array_equal(obj._step_rows, SCATTERED))
+        calls = self.fallbacks(obj.manifold, monkeypatch)
+        y = self.dense_steps(obj, a, x, 100)
+        assert calls == []
+        y = self.dense_steps(obj, a, y, 900)
+        assert np.array_equal(y.coords[keep], x.coords[keep])
+
+    def test_a_still_step_row_takes_the_whole_step(self, block_start, monkeypatch):
+        """A block whose row 0 is e1 - e2, at a point whose rows 1 and 2 are
+        equal: row 0 of A Y is exactly 0, so its gradient is too."""
+        obj, x, _ = block_start
+        a = obj.a.copy()
+        a[0, :5] = a[:5, 0] = [0.0, 1.0, -1.0, 0.0, 0.0]
+        obj = BurerMonteiro(a, 20)
+        c = x.coords.copy()
+        c[2] = c[1]
+        x = Point(obj.manifold, c)
+        assert not np.count_nonzero(obj.rgrad(x).coords[0]) and np.count_nonzero(obj.rgrad(x).coords[1:5])
+        calls = self.fallbacks(obj.manifold, monkeypatch)
+        y = self.dense_steps(obj, a, x, 1)
+        assert calls == [1]
+        self.dense_steps(obj, a, y, 99)  # row 0 moves again: back on the rows
+        assert calls == [1]
+
+    def test_stacked_value_and_rgrad_on_scattered_rows_keeps_the_dense_bits(self, block_start):
+        """The index path on a stack; `test_oracles_keep_the_dense_bits` takes
+        the slice path on stacks."""
+        obj, _, rng = block_start
+        man = obj.manifold
+        a, _ = scattered(obj.a)
+        obj = BurerMonteiro(a, 20)
+        x = Point(man, np.array([man.random_point(rng).coords for _ in range(7)]))
+        f, g = obj.value_and_rgrad(x)
+        ac = a @ x.coords
+        assert bits(f) == bits([ddot_value(c, m) for c, m in zip(x.coords, ac)])
+        assert bits(g.coords) == bits(man.project_tangent(x, ac).coords)
+
+    def test_grassmann_keeps_the_row_product_alone(self):
+        """Grassmann's projection mixes rows, so a KPCA whose H has 2 of 5 rows
+        nonzero forms M X on them but projects and steps on every row."""
+        obj = KPCA(np.diag([0.0, 0.0, 0.0, 3.0, 4.0]), 2)
+        man, m = obj.manifold, -obj.h
+        rng = np.random.default_rng(3)
+        thr = practical_thresholds(8.0, 10.0, 1e-3)
+        for _ in range(20):
+            x = man.random_point(rng)
+            c = x.coords
+            want = man.project_tangent(x, m @ c).coords
+            f, g = obj.value_and_rgrad(x)
+            assert bits(f) == bits(ddot_value(c, m @ c)) and bits(g.coords) == bits(want)
+            gn = g.norm()
+            assert gn > thr.g_thres
+            state = prgd_step(OptState.initial(x, thr), thr, obj, None)
+            eta_bar = min(thr.eta, (math.pi / 2) / gn)
+            assert bits(state.x.coords) == bits(man._exp(c, -eta_bar * want))
 
 
 class RowCubic(Objective):
