@@ -222,8 +222,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """`parse_config` on the file at `path`, with a relative `a_file` or
+    `h_file` read from the config file's directory."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        cfg = parse_config(fh.read())
+    for key in ("a_file", "h_file"):
+        if (name := getattr(cfg, key)) is not None:
+            setattr(cfg, key, os.path.join(os.path.dirname(path), name))
+    return cfg
 
 
 # -- matrix file format: first line "rows cols", then whitespace rows --------

@@ -179,7 +179,7 @@ class Manifold:
     shape: tuple[int, ...] = ()
     _geometry: GeometryInfo  # built once by each subclass's __init__
     # True where a point's rows are the factors of a product manifold, so that
-    # `_project` and the exp body `_exp_rows` act on each row alone (oblique)
+    # `_project` and `_exp` act on each row alone (oblique)
     _row_factors = False
 
     # -- geometry data -------------------------------------------------
@@ -416,21 +416,16 @@ class _UnitRows:
         moving = np.count_nonzero(th)
         if not moving:  # zero tangents, or ones whose norm underflows
             return x
-        if moving == th.size:
-            return readonly(self._exp_rows(x, v, th))
-        rows = th[..., 0] != 0.0  # the rest keep their point and are not computed
-        y = x.copy()
-        y[rows] = self._exp_rows(x[rows], v[rows], th[rows])
-        return readonly(y)
-
-    @staticmethod
-    def _exp_rows(x, v, th):
-        """exp on rows whose tangent norms th are nonzero (a nonzero norm is
-        at least 2.2e-162, as its square does not underflow to 0)."""
-        # below th = 1e-9, cos = 1 and sin(t)/t = 1: y = x + v, cubic error below rounding
+        if moving < th.size:  # the rest keep their point and are not computed
+            rows = th[..., 0] != 0.0
+            y = x.copy()
+            y[rows] = self._exp(x[rows], v[rows])
+            return readonly(y)
+        # each th is nonzero, so at least 2.2e-162; below th = 1e-9, cos = 1 and
+        # sin(t)/t = 1: y = x + v, cubic error below rounding
         y = np.cos(th) * x + (np.sin(th) / th) * v
         y /= np.sqrt(np.vecdot(y, y, keepdims=True))
-        return y
+        return readonly(y)
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):

@@ -92,16 +92,13 @@ class _QuadraticForm(Objective):
     elementwise (a diagonal).  Hessian: P(M P v - W(P v, M X)), P the tangent
     projection, W the manifold's Weingarten term (Absil, Mahony and Trumpf 2013).
 
-    A matrix M with at most half of its rows nonzero (a Burer-Monteiro cost
-    block) forms M X as M[rows] X scattered into zeros, with the bits of the
-    full product at a finite X: a zero row of M gives the +0.0 row the full
-    product gives, and each kept row is summed over all of M's columns alike.
-    The rows are a slice when they are one run (a view, so no gather), else an
-    index.  Where the manifold's maps act on each row alone (the oblique
-    manifold), they are also the step rows: `value_and_rgrad` projects M X on
-    them alone and leaves +0.0 elsewhere, which is what the projection of a
-    zero row gives, and a gradient step moves only them (`clamped_step`).
-    Grassmann's projection mixes rows, so a KPCA keeps the row product alone.
+    On a manifold whose maps act on each row alone (the oblique manifold), a
+    matrix M with at most half of its rows nonzero (a Burer-Monteiro cost
+    block) keeps those rows, a slice when they are one run (a view), else an
+    index.  M X is M[rows] X scattered into zeros, the bits of the full
+    product at a finite X, and they are the step rows: `value_and_rgrad`
+    projects on them alone, leaving the +0.0 the projection of a zero row
+    gives, and a gradient step moves only them (`clamped_step`).
     """
 
     def __init__(self, m: np.ndarray, manifold: Manifold, label: str):
@@ -116,23 +113,20 @@ class _QuadraticForm(Objective):
         if not (m.shape == manifold.shape if m.ndim == 1 else len(m) == manifold.shape[0]):
             raise ValueError(f"{label} of size {len(m)} does not match {manifold.name}")
         self._times = np.multiply if m.ndim == 1 else np.matmul
-        # The rows alone beat the full product only where they skip much: on
-        # oblique(100, 20), 5 of 100 rows take 4 us against 9 us, while on
-        # Grassmann(5, 3) 4 of 5 rows take 2.5-3.5 us against 1 us, hence "at
-        # most half".  All columns are kept, as a product over fewer of them
+        # On oblique(100, 20), 5 of 100 rows take 4 us against 9 us for the
+        # full product.  All columns are kept, as a product over fewer of them
         # may round a kept row differently.
-        if m.ndim == 2 and 2 * len(rows := np.flatnonzero(m.any(axis=1))) <= len(m):
+        if (manifold._row_factors and m.ndim == 2
+                and 2 * len(rows := np.flatnonzero(m.any(axis=1))) <= len(m)):
             if rows.size and rows[-1] - rows[0] == rows.size - 1:  # one run
                 rows = slice(int(rows[0]), int(rows[-1]) + 1)
-            m, self._times = m[rows], partial(_row_product, rows)
-            if manifold._row_factors:
-                self._step_rows = rows
-        self._m, self._half = m, 0.5 * m  # (M / 2) X is (M X) / 2 exactly, bit for bit
+            m, self._times, self._step_rows = m[rows], partial(_row_product, rows), rows
+        self._m = m
         self._nd = len(manifold.shape)
         self.manifold = manifold
 
     def value(self, x):
-        return _dots(x.coords, self._times(self._half, x.coords), self._nd)
+        return 0.5 * _dots(x.coords, self._times(self._m, x.coords), self._nd)
 
     def ambient_grad(self, x):
         return readonly(self._times(self._m, x.coords))

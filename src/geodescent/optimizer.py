@@ -285,21 +285,16 @@ def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
     Returns the next point and eta_bar = min(eta, inj / gnorm), or (x, 0.0)
     when gnorm is not positive.  `rows` (an objective's `_step_rows`: a slice
     or an index of the rows outside which grad is zero, on a manifold whose
-    maps act row by row) runs the step and the unit-row exp body on those rows
-    alone and copies x elsewhere, with the bits of the whole step, where every
-    row outside keeps its point; if one of those rows has a zero tangent norm
-    (also by underflow), the whole step runs as without `rows`."""
+    maps act row by row) runs `_exp` on those rows alone and copies x
+    elsewhere, where every row keeps its point in the whole step too."""
     if not gnorm > 0:
         return x, 0.0
     eta_bar = min(eta, man.geometry().injectivity_radius / gnorm)
-    if rows is not None:
-        v = -eta_bar * grad.coords[rows]
-        th = np.sqrt(np.vecdot(v, v, keepdims=True))
-        if np.count_nonzero(th) == len(th):
-            y = x.coords.copy()
-            y[rows] = man._exp_rows(x.coords[rows], v, th)
-            return Point(man, readonly(y)), eta_bar
-    return Point(man, man._exp(x.coords, -eta_bar * grad.coords)), eta_bar
+    if rows is None:
+        return Point(man, man._exp(x.coords, -eta_bar * grad.coords)), eta_bar
+    y = x.coords.copy()
+    y[rows] = man._exp(x.coords[rows], -eta_bar * grad.coords[rows])
+    return Point(man, readonly(y)), eta_bar
 
 
 def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,

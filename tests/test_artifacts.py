@@ -11,7 +11,9 @@ products of the smoothness estimate and the certificate.  A second
 Burer-Monteiro run reads its cost matrix from `tests/data`, a 5 x 5 block on
 the scattered rows 3, 17, 42, 64 and 90, so its steps run on an index of rows
 where the drawn block's run on a slice; it is pinned to its end (2,665 steps).
-Configs and the paths in them are read from the repository root.
+The config paths below are relative to the repository root, and a config's
+`a_file` to the config; the scattered run is also pinned through the command
+line from another directory.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import os
 
 import pytest
 
+from geodescent import cli
 from geodescent.harness import EXIT_NOT_CONVERGED, load_config, run_experiment
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -67,16 +70,25 @@ PINNED = {
 }
 
 
+def digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
 @pytest.mark.parametrize("run", list(PINNED))
-def test_shipped_run_writes_the_pinned_bytes(run, tmp_path, monkeypatch):
+def test_shipped_run_writes_the_pinned_bytes(run, tmp_path):
     config, seed, max_iters, want = PINNED[run]
-    monkeypatch.chdir(ROOT)
-    cfg = load_config(config)
+    cfg = load_config(os.path.join(ROOT, config))
     if max_iters is not None:
         cfg = dataclasses.replace(cfg, max_iters=max_iters)
     out = run_experiment(cfg, out_dir=str(tmp_path), seed=seed)
     assert out.exit_code == (0 if max_iters is None else EXIT_NOT_CONVERGED)
     written = {p.name for p in tmp_path.iterdir() if p.name.startswith("report_")}
     assert written <= set(want)  # a verify run pins every report it writes
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
-    assert got == want
+    assert digests(tmp_path, want) == want
+
+
+def test_a_config_reads_its_matrix_file_from_its_own_directory(tmp_path, monkeypatch):
+    config, seed, _, want = PINNED["burer-monteiro-scattered-seed-7"]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", os.path.join(ROOT, config), "--out", "out", "--seed", str(seed)]) == 0
+    assert digests(tmp_path / "out", want) == want

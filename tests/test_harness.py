@@ -87,6 +87,15 @@ class TestParseConfig:
         cfg = parse_config("# header\n\nexperiment = sphere-quadratic # inline\nseed = 1\ndiag = 1,2\n")
         assert cfg.seed == 1
 
+    def test_load_config_reads_matrix_files_from_the_config_directory(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        for text, want in [("h_file = h.txt", str(tmp_path / "sub" / "h.txt")),
+                           (f"h_file = {tmp_path / 'h.txt'}", str(tmp_path / "h.txt"))]:
+            text = f"experiment = kpca\nseed = 3\nk = 1\n{text}\n"
+            (tmp_path / "sub" / "k.cfg").write_text(text)
+            assert load_config(str(tmp_path / "sub" / "k.cfg")).h_file == want
+            assert parse_config(text).h_file == text.split("= ")[-1].strip()
+
 
 # field: (valid text, its parsed value, malformed text or None where any
 # text is a valid value); the valid texts also pass validation of a verify

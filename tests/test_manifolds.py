@@ -1267,8 +1267,9 @@ def test_host_facts_the_stacked_bodies_rely_on():
     alone: on Burer-Monteiro costs (100 x 100, a 5 x 5 block), M[rows] @ X
     scattered into zeros has the bits of M @ X, for a point and a stack, with
     the rows an index or a slice.  On the oblique manifold a step then runs
-    on those rows alone: np.vecdot and `_project` on a row slice give the
-    bits of the same rows of the whole call."""
+    on those rows alone: np.vecdot and `_project` on a row slice, and `_exp`
+    on a row slice or on gathered rows, give the bits of the same rows of the
+    whole call, also where a row's tangent is 0."""
     rng = np.random.default_rng(0)
     for n in (2, 3, 20):
         a, b = rng.standard_normal((2, 20000, n))
@@ -1297,5 +1298,13 @@ def test_host_facts_the_stacked_bodies_rely_on():
             assert np.array_equal(bits(np.vecdot(x[..., r, :], mx[..., r, :])),
                                   bits(np.vecdot(x, mx)[..., r]))
             oblique = Oblique(100, 20)
+            g = oblique._project(x, mx)
             assert np.array_equal(bits(oblique._project(x[..., r, :], mx[..., r, :])),
-                                  bits(oblique._project(x, mx)[..., r, :]))
+                                  bits(g[..., r, :]))
+            v = -0.3 * g  # -0.0 off the block
+            for _ in range(2):  # every block row moving, then row 1 still
+                whole = oblique._exp(x, v)
+                for r in (rows, slice(0, 5)):
+                    assert np.array_equal(bits(oblique._exp(x[..., r, :], v[..., r, :])),
+                                          bits(whole[..., r, :]))
+                v[..., 1, :] = 0.0

@@ -198,23 +198,23 @@ def scattered(a):
 
 
 class TestQuadraticFormRows:
-    """A matrix M with at most half of its rows nonzero forms M X on those
-    rows, and every oracle keeps the bits of its dense-M expression.  Where
-    the manifold's maps act on each row alone (the oblique manifold), a PRGD
-    step runs on those rows too, with the same bits."""
+    """On the oblique manifold, whose maps act on each row alone, a matrix M
+    with at most half of its rows nonzero forms M X on those rows, a PRGD step
+    runs on them, and every oracle and step keeps the bits of its dense-M
+    expression.  Other manifolds keep the dense M."""
 
     def test_which_forms_keep_their_rows(self):
         bm = BurerMonteiro(burer_monteiro_instance(100, 20, 5, np.random.default_rng(0)), 20)
-        assert np.array_equal(bm._m, bm.a[:5]) and np.array_equal(bm._half, 0.5 * bm.a[:5])
-        for dense in (KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20)):
-            assert dense._m.shape == (len(dense._m),) * 2 and dense._times is np.matmul
-        # the step rows: a slice for one run of rows, else an index, and only
-        # on a manifold whose maps act on each row alone
+        assert np.array_equal(bm._m, bm.a[:5])
+        # the rows: a slice for one run of rows, else an index, and only on a
+        # manifold whose maps act on each row alone
         assert bm._step_rows == slice(0, 5)
         a, _ = scattered(bm.a)
         assert np.array_equal(BurerMonteiro(a, 20)._step_rows, SCATTERED)
         sparse_kpca = KPCA(np.diag([0.0, 0.0, 0.0, 3.0, 4.0]), 2)
-        assert np.array_equal(sparse_kpca._m, -sparse_kpca.h[3:]) and sparse_kpca._times is not np.matmul
+        assert np.array_equal(sparse_kpca._m, -sparse_kpca.h)
+        for dense in (sparse_kpca, KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20)):
+            assert dense._m.shape == (len(dense._m),) * 2 and dense._times is np.matmul
         for other in (sparse_kpca, KPCA(H5, 3), BurerMonteiro(random_symmetric(100, 0), 20),
                       fig_objective()):
             assert other._step_rows is None
@@ -246,14 +246,14 @@ class TestQuadraticFormRows:
         """`steps` row steps from x (value_and_rgrad, then clamped_step on the
         objective's step rows), each checked bit for bit, signs of zero
         included, against the dense-A expressions; the end point."""
-        man = obj.manifold
+        man, dense = obj.manifold, Oblique(100, 20)
         for _ in range(steps):
             c = x.coords
             f, g = obj.value_and_rgrad(x)
             want = man.project_tangent(x, a @ c).coords
             assert bits(f) == bits(ddot_value(c, a @ c)) and bits(g.coords) == bits(want)
             y, eta_bar = clamped_step(man, x, g, g.norm(), eta, obj._step_rows)
-            assert bits(y.coords) == bits(Oblique._exp(man, c, -eta_bar * want))
+            assert bits(y.coords) == bits(dense._exp(c, -eta_bar * want))
             x = y
         return x
 
@@ -266,19 +266,21 @@ class TestQuadraticFormRows:
         return obj, obj.manifold.exp(x0, obj.manifold.sample_tangent_ball(x0, 0.03, rng)), rng
 
     @staticmethod
-    def fallbacks(man, monkeypatch):
-        """Calls of `man._exp`, which `clamped_step` makes only when a step row
-        does not move."""
-        calls = []
-        monkeypatch.setattr(man, "_exp", lambda c, v: calls.append(1) or Oblique._exp(man, c, v))
-        return calls
+    def exp_shapes(man, monkeypatch):
+        """The shape of the point each `man._exp` call receives.  A call on a
+        step's rows comes first; if some of them are still, `_exp` calls itself
+        on the moving ones, a shape with fewer rows, next."""
+        shapes = []
+        monkeypatch.setattr(man, "_exp", lambda c, v: shapes.append(c.shape) or Oblique._exp(man, c, v))
+        return shapes
 
     @pytest.mark.parametrize("rows", ["block", "scattered"])
     def test_row_steps_keep_the_dense_bits(self, block_start, monkeypatch, rows):
-        """The first 100 steps move every step row (the slice path, or the
-        index path).  By step 300 the gradient is at rounding level (about
-        1e-15), where on the scattered rows 704 of the steps have a row whose
-        gradient rounds to 0 and run as a whole step."""
+        """Every step calls `_exp` on the 5 step rows (a slice, or an index).
+        The first 100 steps move every one.  By step 300 the gradient is at
+        rounding level (about 1e-15), where on the scattered rows 704 steps
+        have a row whose gradient rounds to 0, and `_exp` calls itself on the
+        4 moving rows."""
         obj, x, _ = block_start
         a, keep = obj.a, slice(5, None)
         if rows == "scattered":
@@ -287,15 +289,18 @@ class TestQuadraticFormRows:
             keep = np.setdiff1d(np.arange(100), SCATTERED)
         assert (obj._step_rows == slice(0, 5) if rows == "block"
                 else np.array_equal(obj._step_rows, SCATTERED))
-        calls = self.fallbacks(obj.manifold, monkeypatch)
+        shapes = self.exp_shapes(obj.manifold, monkeypatch)
         y = self.dense_steps(obj, a, x, 100)
-        assert calls == []
+        assert shapes == [(5, 20)] * 100
         y = self.dense_steps(obj, a, y, 900)
+        assert shapes.count((5, 20)) == 1000 and all(s[1:] == (20,) and s[0] < 5
+                                                     for s in shapes if s != (5, 20))
         assert np.array_equal(y.coords[keep], x.coords[keep])
 
-    def test_a_still_step_row_takes_the_whole_step(self, block_start, monkeypatch):
+    def test_exp_on_the_step_rows_leaves_a_still_row(self, block_start, monkeypatch):
         """A block whose row 0 is e1 - e2, at a point whose rows 1 and 2 are
-        equal: row 0 of A Y is exactly 0, so its gradient is too."""
+        equal: row 0 of A Y is exactly 0, so its gradient is too, and `_exp`
+        on the 5 step rows calls itself on the 4 moving ones."""
         obj, x, _ = block_start
         a = obj.a.copy()
         a[0, :5] = a[:5, 0] = [0.0, 1.0, -1.0, 0.0, 0.0]
@@ -304,11 +309,11 @@ class TestQuadraticFormRows:
         c[2] = c[1]
         x = Point(obj.manifold, c)
         assert not np.count_nonzero(obj.rgrad(x).coords[0]) and np.count_nonzero(obj.rgrad(x).coords[1:5])
-        calls = self.fallbacks(obj.manifold, monkeypatch)
+        shapes = self.exp_shapes(obj.manifold, monkeypatch)
         y = self.dense_steps(obj, a, x, 1)
-        assert calls == [1]
-        self.dense_steps(obj, a, y, 99)  # row 0 moves again: back on the rows
-        assert calls == [1]
+        assert shapes == [(5, 20), (4, 20)] and bits(y.coords[0]) == bits(c[0])
+        self.dense_steps(obj, a, y, 99)  # row 0 moves again: every step row moves
+        assert shapes[2:] == [(5, 20)] * 99
 
     def test_stacked_value_and_rgrad_on_scattered_rows_keeps_the_dense_bits(self, block_start):
         """The index path on a stack; `test_oracles_keep_the_dense_bits` takes
@@ -323,9 +328,9 @@ class TestQuadraticFormRows:
         assert bits(f) == bits([ddot_value(c, m) for c, m in zip(x.coords, ac)])
         assert bits(g.coords) == bits(man.project_tangent(x, ac).coords)
 
-    def test_grassmann_keeps_the_row_product_alone(self):
+    def test_grassmann_takes_no_rows(self):
         """Grassmann's projection mixes rows, so a KPCA whose H has 2 of 5 rows
-        nonzero forms M X on them but projects and steps on every row."""
+        nonzero forms M X, projects and steps on every row."""
         obj = KPCA(np.diag([0.0, 0.0, 0.0, 3.0, 4.0]), 2)
         man, m = obj.manifold, -obj.h
         rng = np.random.default_rng(3)
