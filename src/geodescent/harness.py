@@ -362,12 +362,31 @@ class ExperimentOutcome:
     messages: list[str] = field(default_factory=list)
 
 
+# distinct trace rows whose formatted fields `write_trace_csv` keeps
+_TRACE_ROWS_KEPT = 64
+
+
 def write_trace_csv(path: str, result: RunResult):
+    """One line per step.  A row with the bits of one of the last
+    `_TRACE_ROWS_KEPT` distinct rows (a run that cycles repeats its rows) is
+    formatted once; keying on bits keeps +0.0 apart from -0.0."""
+    tr = result.trace
+    bits = [memoryview(c).cast("B").cast("Q") for c in (tr.f, tr.gradnorm, tr.step_norm)]
+    kept: dict = {}
+
+    def lines():
+        yield "t,f,gradnorm,step_norm,perturbed\n"
+        for t, key in enumerate(zip(*bits, tr.perturbed)):
+            row = kept.get(key)
+            if row is None:
+                if len(kept) >= _TRACE_ROWS_KEPT:
+                    del kept[next(iter(kept))]
+                row = kept[key] = (f"{fmt(tr.f[t])},{fmt(tr.gradnorm[t])},"
+                                   f"{fmt(tr.step_norm[t])},{fmt(bool(key[3]))}\n")
+            yield f"{t},{row}"
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,f,gradnorm,step_norm,perturbed\n")
-        tr = result.trace
-        for t, (f, g, s, p) in enumerate(zip(tr.f, tr.gradnorm, tr.step_norm, tr.perturbed)):
-            fh.write(f"{t},{fmt(f)},{fmt(g)},{fmt(s)},{fmt(bool(p))}\n")
+        fh.writelines(lines())
 
 
 def write_summary(path: str, summary: dict):

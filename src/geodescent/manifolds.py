@@ -232,10 +232,11 @@ class Manifold:
 
     def exp(self, x: Point, v: Tangent) -> Point:
         """exp_x(v), checked here once around the manifold's unchecked kernel
-        `_exp(x, v)` on coordinates; x comes back as is where the kernel returns x."""
+        `_exp(x, v)` on coordinates; x comes back as is where the kernel returns x.
+        The kernel returns x's coords or a fresh array, which becomes the Point's."""
         self._check_base(x, v)
         y = self._exp(x.coords, v.coords)
-        return x if y is x.coords else Point(self, y)
+        return x if y is x.coords else Point(self, readonly(y))
 
     def log(self, x: Point, y: Point) -> Tangent:
         raise NotImplementedError
@@ -303,7 +304,7 @@ class Manifold:
         if y.ndim == len(self.shape):
             return y
         moved = v.reshape(len(y), -1).any(axis=1)
-        return readonly(np.where(moved.reshape((-1,) + (1,) * len(self.shape)), y, x))
+        return np.where(moved.reshape((-1,) + (1,) * len(self.shape)), y, x)
 
     # -- internal checks -------------------------------------------------
 
@@ -337,7 +338,7 @@ class Manifold:
 
 @_linalg_errstate(_linalg._raise_linalgerror_qr)
 def _qr_sign_fixed(y: np.ndarray) -> np.ndarray:
-    """Thin QR with positive diagonal of R, read-only; absorbs rounding drift only.
+    """Thin QR with positive diagonal of R, a fresh array; absorbs rounding drift only.
 
     numpy.linalg.qr's two LAPACK calls, same bits: they factor a float copy of
     `y` in place, leaving R in its upper triangle."""
@@ -345,7 +346,7 @@ def _qr_sign_fixed(y: np.ndarray) -> np.ndarray:
     q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="d->d"), signature="dd->d")
     s = np.sign(a.diagonal(0, -2, -1))
     s[s == 0] = 1.0
-    return readonly(q * _row(s))
+    return q * _row(s)
 
 
 class Euclidean(Manifold):
@@ -368,7 +369,7 @@ class Euclidean(Manifold):
     def _exp(self, x, v):
         if not np.count_nonzero(v):
             return x
-        return readonly(self._still(x, v, x + v))
+        return self._still(x, v, x + v)
 
     def log(self, x, y):
         self._check_pair(x, y)
@@ -420,12 +421,12 @@ class _UnitRows:
             rows = th[..., 0] != 0.0
             y = x.copy()
             y[rows] = self._exp(x[rows], v[rows])
-            return readonly(y)
+            return y
         # each th is nonzero, so at least 2.2e-162; below th = 1e-9, cos = 1 and
         # sin(t)/t = 1: y = x + v, cubic error below rounding
         y = np.cos(th) * x + (np.sin(th) / th) * v
         y /= np.sqrt(np.vecdot(y, y, keepdims=True))
-        return readonly(y)
+        return y
 
     @staticmethod
     def _angle(x: np.ndarray, y: np.ndarray):
@@ -581,5 +582,5 @@ class Grassmann(Manifold):
         return v @ (x.mT @ g)
 
     def _point_from(self, g):
-        return Point(self, _qr_sign_fixed(g))
+        return Point(self, readonly(_qr_sign_fixed(g)))
 

@@ -256,9 +256,20 @@ class RunResult:
     trace: Trace
 
 
+# iterates a run's replay memo holds (see OptState): periods 1-4, most of the
+# Burer-Monteiro confirmation windows' steps, at 2 x 16 KB each on oblique(100, 20)
+_MEMO_STEPS = 4
+
+
 @dataclass
 class OptState:
-    """Mutable state of one perturbed-gradient-descent run."""
+    """Mutable state of one perturbed-gradient-descent run.
+
+    `_memo` remembers up to `_MEMO_STEPS` recent iterates, oldest first, keyed
+    by identity: each with its coords' bytes and, once a regular (unperturbed)
+    step ran from it, that step's (f, gradnorm, eta_bar, x_next).  A step is a
+    pure function of x's bytes, the thresholds and the objective, so the memo
+    serves one pair, `_memo_for`, and `prgd_step` replays it (see there)."""
 
     x: Point
     t: int = 0
@@ -267,6 +278,8 @@ class OptState:
     trace: Trace = field(default_factory=Trace)
     # small-gradient policy: perturb (False) or stop (True, set by rgd_baseline only)
     _stop: bool = field(default=False, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_for: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, x0: Point, thr: ThresholdSet) -> "OptState":
@@ -291,7 +304,7 @@ def clamped_step(man, x: Point, grad: Tangent, gnorm: float, eta: float,
         return x, 0.0
     eta_bar = min(eta, man.geometry().injectivity_radius / gnorm)
     if rows is None:
-        return Point(man, man._exp(x.coords, -eta_bar * grad.coords)), eta_bar
+        return Point(man, readonly(man._exp(x.coords, -eta_bar * grad.coords))), eta_bar
     y = x.coords.copy()
     y[rows] = man._exp(x.coords[rows], -eta_bar * grad.coords[rows])
     return Point(man, readonly(y)), eta_bar
@@ -310,12 +323,29 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
     with the saved iterate; (3) otherwise take a gradient step of geodesic
     length min(eta * ||grad||, injectivity radius); (4) advance t.
 
+    A step is a pure function of x's bytes, `thr` and `obj`, so it is replayed
+    where it ran before: when x is an iterate in the state's memo whose regular
+    step ran with these `thr` and `obj` objects, its f, gradient norm, eta_bar
+    and next point are reused, and (1) and (2) run on them as ever.  A
+    perturbed step computes everything.  A computed next point with the bytes
+    of a remembered iterate (so +0.0 and -0.0 differ) is that iterate, so a
+    run that cycles with period at most `_MEMO_STEPS` replays each step after
+    the first pass, with the same bytes and iterations.
+
     Returns the updated OptState, or a RunResult when the run terminates.
     """
     man = obj.manifold
     x = state.x
-    fx, grad = obj.value_and_rgrad(x)
-    gnorm = grad.norm()
+    if state._memo_for[0] is not obj or state._memo_for[1] is not thr:
+        state._memo, state._memo_for = {}, (obj, thr)
+    memo = state._memo
+    seen = memo.get(x)  # [coords bytes, (fx, gnorm, eta_bar, x_next) or None]
+    done = seen[1] if seen else None
+    if done is None:
+        fx, grad = obj.value_and_rgrad(x)
+        gnorm = grad.norm()
+    else:
+        fx, gnorm, eta_bar, x_next = done
     if not (math.isfinite(fx) and math.isfinite(gnorm)):
         return _finish(STATUS_STEP_FAILURE, x, fx, gnorm, state.trace)
 
@@ -339,11 +369,28 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         state.trace.append(fx, gnorm, 0.0, False)
         return _finish(STATUS_SECOND_ORDER, xt, f_out, g_out.norm(), state.trace)
 
-    x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, obj._step_rows)
+    if done is None or perturbed:
+        x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, obj._step_rows)
+        x_next = _recall(memo, x_next)
+        if seen and not perturbed:
+            seen[1] = (fx, gnorm, eta_bar, x_next)
     state.trace.append(fx, gnorm, eta_bar * gnorm, perturbed)
     state.x = x_next
     state.t += 1
     return state
+
+
+def _recall(memo: dict, y: Point) -> Point:
+    """The iterate in `memo` with y's bytes, else y, remembered in place of
+    the oldest beyond `_MEMO_STEPS`."""
+    b = y.coords.tobytes()
+    for p, (pb, _) in memo.items():
+        if pb == b:
+            return p
+    if len(memo) >= _MEMO_STEPS:
+        del memo[next(iter(memo))]
+    memo[y] = [b, None]
+    return y
 
 
 def _drive(state: OptState, thr: ThresholdSet, obj: Objective,

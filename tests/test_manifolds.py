@@ -780,6 +780,30 @@ def test_exp_and_project_tangent_are_checked_in_one_place(cls):
         assert callable(getattr(cls, kernel, None))
 
 
+@pytest.mark.parametrize("man", [Euclidean(3), Sphere(3), Oblique(4, 3), Grassmann(5, 2)],
+                         ids=repr)
+def test_exp_marks_its_kernel_result_read_only_uncopied(man, monkeypatch):
+    """`_exp` returns a fresh writeable array (an oblique tangent with a zero
+    row takes the still-row path); `exp` makes that array its Point's coords,
+    read-only and uncopied."""
+    rng = np.random.default_rng(0)
+    for stack in ((), (2,)):
+        x = Point(man, np.array([man.random_point(rng).coords for _ in range(2)]) if stack
+                  else man.random_point(rng).coords)
+        v = man.project_tangent(x, rng.standard_normal(stack + man.shape)).coords.copy()
+        if isinstance(man, Oblique):
+            v[..., 0, :] = 0.0
+        y = man._exp(x.coords, v)
+        assert y.flags.writeable and y.base is None
+        returned = []
+        monkeypatch.setattr(man, "_exp", lambda c, w: returned.append(type(man)._exp(man, c, w))
+                            or returned[-1])
+        coords = man.exp(x, Tangent(x, v)).coords
+        monkeypatch.undo()
+        assert coords is returned[-1] and not coords.flags.writeable
+        assert np.array_equal(coords, y)
+
+
 FOREIGN = {Euclidean: (Euclidean(3), Sphere(3)), Sphere: (Sphere(3), Euclidean(3)),
            Oblique: (Oblique(3, 2), Grassmann(3, 2)), Grassmann: (Grassmann(3, 2), Oblique(3, 2))}
 

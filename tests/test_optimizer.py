@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -27,8 +28,16 @@ from geodescent import (
     rgd_baseline,
     run,
 )
-from geodescent.harness import fmt, write_trace_csv
-from geodescent.optimizer import TraceRow
+from geodescent.harness import (
+    _build_problem,
+    _seed_streams,
+    _TRACE_ROWS_KEPT,
+    _thresholds_for,
+    fmt,
+    parse_config,
+    write_trace_csv,
+)
+from geodescent.optimizer import Trace, TraceRow, clamped_step
 
 D_FIG = np.array([1.0, -1.0, 4.0])
 
@@ -215,6 +224,161 @@ class TestPrgdStep:
         assert out.status == "step-failure"
 
 
+def parent_prgd_run(obj, x0, thr, max_iters, rng):
+    """`run` stepping as it did before steps were replayed: each step computes
+    its gradient and its next point.  The reference for `TestReplay`; returns
+    the trace and the final point."""
+    man, x = obj.manifold, x0
+    t, t_noise, x_tilde = 0, -thr.t_thres - 1, None
+    trace = Trace()
+    for _ in range(max_iters):
+        fx, grad = obj.value_and_rgrad(x)
+        gnorm = grad.norm()
+        perturbed = False
+        if gnorm <= thr.g_thres and t - t_noise > thr.t_thres:
+            t_noise, x_tilde = t, x
+            x = man.exp(x, man.sample_tangent_ball(x, thr.r, rng))
+            perturbed = True
+            fx, grad = obj.value_and_rgrad(x)
+            gnorm = grad.norm()
+        if (t - t_noise == thr.t_thres and x_tilde is not None
+                and fx - obj.value(x_tilde) > -thr.f_thres):
+            trace.append(fx, gnorm, 0.0, False)
+            return trace, x_tilde
+        x, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, obj._step_rows)
+        trace.append(fx, gnorm, eta_bar * gnorm, perturbed)
+        t += 1
+    return trace, x
+
+
+def bm_problem(seed, extra=""):
+    """Criterion 2's Burer-Monteiro instance, start and thresholds at `seed`,
+    and its run's generator."""
+    cfg = parse_config(f"experiment = burer-monteiro\nseed = {seed}\ndim_d = 100\np = 20\n"
+                       f"block = 5\nepsilon = 1e-3\n{extra}")
+    rng_data, rng_smooth, rng_run, _ = _seed_streams(seed)
+    obj, x0, _ = _build_problem(cfg, rng_data)
+    thr, _ = _thresholds_for(cfg, obj, x0, rng_smooth)
+    return obj, x0, thr, rng_run
+
+
+def count_calls(monkeypatch, obj, name):
+    """The points each call of `obj.<name>` receives, in order."""
+    seen, original = [], getattr(obj, name)
+
+    def counting(x, *args):
+        seen.append(x)
+        return original(x, *args)
+
+    monkeypatch.setattr(obj, name, counting)
+    return seen
+
+
+class SignedZeroStep(Objective):
+    """A constant cost on R^2 whose first step moves x0 = (-0.0, 1.0) to
+    (-0.0, 0.5); from there a step adds +0.0 to the first coordinate, which
+    turns -0.0 into +0.0, and moves the second by less than its rounding."""
+
+    def __init__(self, eta):
+        self.manifold = Euclidean(2)
+        self.eta = eta
+
+    def value(self, x):
+        return 0.0
+
+    def ambient_grad(self, x):
+        if x.coords[1] == 1.0:
+            return np.array([0.0, 0.5 / self.eta])
+        return np.array([-0.0, 1e-20])
+
+
+class TestReplay:
+    """A step is a pure function of x's bytes, the thresholds and the
+    objective, so `prgd_step` replays a step from a remembered iterate."""
+
+    # criterion 2's Burer-Monteiro seeds: period 2, a fixed point and period 3;
+    # each cycle starts within 280 steps
+    SEEDS = (0, 2, 7)
+    STEPS = 1_500
+
+    def replayed_run(self, monkeypatch, seed, extra=""):
+        """Criterion 2's run at `seed`, capped at STEPS, against the reference
+        loop: the same trace, final point and draws.  Returns the run and the
+        points its gradients were computed at."""
+        obj, x0, thr, rng = bm_problem(seed, extra)
+        want_rng = _seed_streams(seed)[2]
+        want, want_x = parent_prgd_run(obj, x0, thr, self.STEPS, want_rng)
+        calls = count_calls(monkeypatch, obj, "value_and_rgrad")
+        result = run(obj, x0, thr, self.STEPS, rng)
+        for col in ("f", "gradnorm", "step_norm", "perturbed"):
+            assert getattr(result.trace, col).tobytes() == getattr(want, col).tobytes()
+        assert result.final_point.coords.tobytes() == want_x.coords.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        return result, calls
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_cycle_replays_with_the_same_bits(self, monkeypatch, seed):
+        """Capped at STEPS, a run stays in its first window and ends in its
+        cycle.  Each distinct iterate's gradient is computed once, where every
+        step computed one before."""
+        result, calls = self.replayed_run(monkeypatch, seed)
+        assert result.status == "iteration-cap"
+        iterates = {x.coords.tobytes() for x in calls}
+        perturbations, closes = sum(result.trace.perturbed), 1  # the cap's call
+        assert len(calls) <= len(iterates) + perturbations + closes < result.iterations / 4
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_a_perturbation_after_replayed_steps_draws_as_before(self, monkeypatch, seed):
+        """With t_thres = 400 a run perturbs twice, the second time after
+        replayed steps, and closes its second window, with the reference
+        loop's bits and draws.  (Seed 7's second window cycles with period 20,
+        which the memo does not hold.)"""
+        result, calls = self.replayed_run(monkeypatch, seed, "t_thres = 400\n")
+        assert result.status == "second-order-point" and sum(result.trace.perturbed) == 2
+        assert len(calls) < result.iterations
+
+    def test_equal_but_not_the_same_bytes_is_a_new_point(self, monkeypatch):
+        """A next point equal under == to a remembered iterate, with other
+        bytes (+0.0 for -0.0), is a new Point; the step from it then lands on
+        its own bytes, keeps that Point and replays."""
+        thr = practical_thresholds(1.0, 1.0, 1e-2, eta=0.1, g_thres=1e-30)
+        obj = SignedZeroStep(thr.eta)
+        x0 = obj.manifold.point([-0.0, 1.0])
+        calls = count_calls(monkeypatch, obj, "value_and_rgrad")
+        state = OptState.initial(x0, thr)
+        xs = []
+        for _ in range(4):
+            state = prgd_step(state, thr, obj, None)
+            xs.append(state.x)
+        x1, x2, x3, x4 = xs
+        assert x1.coords.tobytes() == np.array([-0.0, 0.5]).tobytes()
+        assert np.array_equal(x2.coords, x1.coords) and x2 is not x1
+        assert x2.coords.tobytes() == np.array([0.0, 0.5]).tobytes()
+        assert x3 is x2 and x4 is x2
+        assert calls == [x0, x1, x2]  # the step from x2 replays
+
+    def test_other_thresholds_or_objective_compute_the_step(self, monkeypatch):
+        """A memo serves the objective and thresholds objects it was built
+        with: an equal ThresholdSet or another objective computes its step."""
+        thr = practical_thresholds(1.0, 1.0, 1e-2, eta=0.1, g_thres=1e-30)
+        obj, other = SignedZeroStep(thr.eta), SignedZeroStep(thr.eta)
+        state = OptState.initial(obj.manifold.point([-0.0, 1.0]), thr)
+        for _ in range(3):
+            state = prgd_step(state, thr, obj, None)
+        fixed = state.x
+        calls = count_calls(monkeypatch, obj, "value_and_rgrad")
+        other_calls = count_calls(monkeypatch, other, "value_and_rgrad")
+        equal = dataclasses.replace(thr)
+        assert equal == thr and equal is not thr
+        state = prgd_step(state, thr, obj, None)
+        assert state.x is fixed and calls == []  # replayed
+        state = prgd_step(state, equal, obj, None)
+        assert calls == [fixed] and other_calls == []
+        state = prgd_step(state, equal, other, None)
+        assert len(calls) == 1 and len(other_calls) == 1
+        assert state.x.coords.tobytes() == fixed.coords.tobytes()
+
+
 class TestRun:
     def test_figure_one_scenario_escapes_to_minimum(self):
         obj = fig_objective()
@@ -369,6 +533,29 @@ class TestTrace:
             assert type(row) is TraceRow and isinstance(row.perturbed, bool)
             assert line == ",".join(fmt(getattr(row, f.name)) for f in fields(row))
         assert header == ",".join(f.name for f in fields(TraceRow))
+
+    def test_writer_keeps_the_bytes_of_repeated_rows(self, tmp_path):
+        """Rows that cycle, rows equal under == with other bits (signed zeros),
+        NaN rows, and more distinct rows than the writer keeps formatted, all
+        written with the bytes of the reference writer."""
+        cycle = [(0.0, 1.0, -0.0, True), (-0.0, 1.0, 0.0, False), (math.nan, math.inf, -0.0, False)]
+        spread = [(float(i), 0.5, 0.25, False) for i in range(3 * _TRACE_ROWS_KEPT)]
+        trace = Trace()
+        for row in 50 * cycle + spread + spread + 50 * cycle[::-1]:
+            trace.append(*row)
+        result = RunResult("iteration-cap", None, 0.0, 0.0, len(trace), trace)
+        write_trace_csv(str(tmp_path / "trace.csv"), result)
+        parent_write_trace_csv(str(tmp_path / "want.csv"), result)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def parent_write_trace_csv(path, result):
+    """`write_trace_csv` formatting each row on its own: the reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,f,gradnorm,step_norm,perturbed\n")
+        tr = result.trace
+        for t, (f, g, s, p) in enumerate(zip(tr.f, tr.gradnorm, tr.step_norm, tr.perturbed)):
+            fh.write(f"{t},{fmt(f)},{fmt(g)},{fmt(s)},{fmt(bool(p))}\n")
 
 
 class TestRunInvariants:
