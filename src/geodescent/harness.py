@@ -269,7 +269,8 @@ def burer_monteiro_instance(dim_d: int, p: int, block: int,
 
 
 def burer_monteiro_start(dim_d: int, p: int) -> np.ndarray:
-    """Feasible block start: rows 5j-4..5j of column j are 1 (1-indexed)."""
+    """Feasible block start: with q = dim_d // p, rows jq..jq+q-1 of column j
+    are 1 (0-indexed), and the last column also takes the remaining rows."""
     if p > dim_d:
         raise ValueError(f"burer-monteiro needs p <= dim_d, got p = {p} > dim_d = {dim_d}")
     y0 = np.zeros((dim_d, p))

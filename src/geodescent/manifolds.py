@@ -173,7 +173,7 @@ _set_tangent_base, _set_tangent_coords = Tangent.base.__set__, Tangent.coords.__
 
 
 class Manifold:
-    """Base class: shared checks, the Frobenius metric and ball sampling."""
+    """Base class: the checked maps, the Frobenius metric and ball sampling."""
 
     name: str = "manifold"
     shape: tuple[int, ...] = ()
@@ -230,30 +230,38 @@ class Manifold:
 
     # -- core maps ------------------------------------------------------
 
+    # Each public map checks its arguments here, once, around the manifold's
+    # unchecked kernel.  `_exp` and `_project` take coordinate arrays (a step
+    # calls them on a point's rows); `_log`, `_dist` and `_transport` take the
+    # checked Points and return coordinates, or the distance.
+
     def exp(self, x: Point, v: Tangent) -> Point:
-        """exp_x(v), checked here once around the manifold's unchecked kernel
-        `_exp(x, v)` on coordinates; x comes back as is where the kernel returns x.
+        """exp_x(v); x comes back as is where the kernel returns x.
         The kernel returns x's coords or a fresh array, which becomes the Point's."""
         self._check_base(x, v)
         y = self._exp(x.coords, v.coords)
         return x if y is x.coords else Point(self, readonly(y))
 
     def log(self, x: Point, y: Point) -> Tangent:
-        raise NotImplementedError
+        self._check_pair(x, y)
+        return Tangent(x, self._log(x, y))
 
     def dist(self, x: Point, y: Point) -> float:
-        raise NotImplementedError
+        self._check_pair(x, y)
+        return self._dist(x, y)
 
     def transport(self, x: Point, y: Point, w: Tangent) -> Tangent:
-        raise NotImplementedError
+        """w moved from x to y along the geodesic of velocity log(x, y)."""
+        self._check_base(x, w)
+        self._check_pair(x, y)
+        return Tangent(y, self._transport(x, y, w))
 
     def _weingarten(self, x: np.ndarray, v: np.ndarray, g: np.ndarray):
         """Unchecked kernel: the Weingarten term W_x(v, g) for ambient gradient g."""
         raise NotImplementedError(f"{self.name} has no Weingarten term")
 
     def project_tangent(self, x: Point, a) -> Tangent:
-        """The ambient array `a` projected onto the tangent space at x, checked
-        here once around the manifold's unchecked kernel `_project(x, a)`."""
+        """The ambient array `a` projected onto the tangent space at x."""
         self._check_point(x)
         return Tangent(x, self._project(x.coords, self._as_ambient(a, shape=x.coords.shape)))
 
@@ -371,18 +379,14 @@ class Euclidean(Manifold):
             return x
         return self._still(x, v, x + v)
 
-    def log(self, x, y):
-        self._check_pair(x, y)
-        return Tangent(x, readonly(y.coords - x.coords))
+    def _log(self, x, y):
+        return readonly(y.coords - x.coords)
 
-    def dist(self, x, y):
-        self._check_pair(x, y)
+    def _dist(self, x, y):
         return _norms(y.coords - x.coords)
 
-    def transport(self, x, y, w):
-        self._check_base(x, w)
-        self._check_pair(x, y)
-        return Tangent(y, w.coords)
+    def _transport(self, x, y, w):
+        return w.coords
 
     def _project(self, x, a):
         return a
@@ -438,18 +442,15 @@ class _UnitRows:
         s = np.sqrt(np.vecdot(u, u))
         return np.arctan2(s, cc), c, u, s
 
-    def log(self, x, y):
-        self._check_pair(x, y)
+    def _log(self, x, y):
         d, _, u, s = self._angle(x.coords, y.coords)
         self._check_injectivity(d, "log")
         # a tangent with |u| < 1e-300 is +0.0 throughout (0.0 * u would keep the
         # signs of u), and dividing by at least 1e-300 keeps d / s finite there
-        return Tangent(x, readonly(np.where((s < 1e-300)[..., None], 0.0,
-                                            (d / np.maximum(s, 1e-300))[..., None] * u)))
+        return readonly(np.where((s < 1e-300)[..., None], 0.0,
+                                 (d / np.maximum(s, 1e-300))[..., None] * u))
 
-    def transport(self, x, y, w):
-        self._check_base(x, w)
-        self._check_pair(x, y)
+    def _transport(self, x, y, w):
         d, c, _, _ = self._angle(x.coords, y.coords)
         self._check_injectivity(d, "transport")
         # x and y are unit only to FEAS_TOL, and near the cut locus 1 + x.y is
@@ -459,7 +460,7 @@ class _UnitRows:
         xy = x.coords + y.coords
         out = w.coords - (np.vecdot(xy, w.coords) / (1.0 + c))[..., None] * xy
         # kill rounding in the normal direction
-        return Tangent(y, self._project(y.coords, out))
+        return self._project(y.coords, out)
 
     def _project(self, x, a):
         return readonly(a - np.vecdot(x, a, keepdims=True) * x)
@@ -485,8 +486,7 @@ class Sphere(_UnitRows, Manifold):
         self.shape = (n,)
         self._geometry = GeometryInfo(math.pi, n - 1)
 
-    def dist(self, x, y):
-        self._check_pair(x, y)
+    def _dist(self, x, y):
         return self._angle(x.coords, y.coords)[0]
 
 
@@ -510,8 +510,7 @@ class Oblique(_UnitRows, Manifold):
         # injectivity of a product is the factor minimum
         self._geometry = GeometryInfo(math.pi, d * (p - 1))
 
-    def dist(self, x, y):
-        self._check_pair(x, y)
+    def _dist(self, x, y):
         return _norms(self._angle(x.coords, y.coords)[0])
 
 
@@ -549,31 +548,27 @@ class Grassmann(Manifold):
         y = x @ (vt.mT * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
         return self._still(x, v, _qr_sign_fixed(y))
 
-    def log(self, x, y):
-        self._check_pair(x, y)
+    def _log(self, x, y):
         self._check_injectivity(self.dist(x, y), "log")
         m = x.coords.mT @ y.coords
         t = (y.coords - x.coords @ m) @ _inv(m)
         u, s, vt = _svd(t)
         out = (u * np.arctan(_row(s))) @ vt
         # clean rounding so tangency holds to working precision
-        return Tangent(x, self._project(x.coords, out))
+        return self._project(x.coords, out)
 
-    def dist(self, x, y):
-        self._check_pair(x, y)
+    def _dist(self, x, y):
         return _norms(principal_angles(x.coords, y.coords))
 
-    def transport(self, x, y, w):
+    def _transport(self, x, y, w):
         """w moved along the geodesic of velocity log(x, y) = u diag(s) vt (Edelman,
         Arias and Smith 1998, Thm 2.4), for a velocity of any rank: every singular
         direction is kept, and one with s = 0 adds exactly nothing."""
-        self._check_base(x, w)
-        self._check_point(y)
         u, s, vt = _svd(self.log(x, y).coords)  # log enforces the injectivity precondition
         s = _row(s)
         uw = u.mT @ w.coords
         out = w.coords + (u * (np.cos(s) - 1.0)) @ uw - (x.coords @ (vt.mT * np.sin(s))) @ uw
-        return Tangent(y, self._project(y.coords, out))
+        return self._project(y.coords, out)
 
     def _project(self, x, a):
         return readonly(a - x @ (x.mT @ a))

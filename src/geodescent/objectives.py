@@ -126,9 +126,11 @@ class _QuadraticForm(Objective):
         self.manifold = manifold
 
     def value(self, x):
+        self.manifold._check_point(x)
         return 0.5 * _dots(x.coords, self._times(self._m, x.coords), self._nd)
 
     def ambient_grad(self, x):
+        self.manifold._check_point(x)
         return readonly(self._times(self._m, x.coords))
 
     def value_and_rgrad(self, x):

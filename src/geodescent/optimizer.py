@@ -275,6 +275,7 @@ class OptState:
     t: int = 0
     t_noise: int = 0
     x_tilde: Point | None = None
+    fg_tilde: tuple = ()  # (f, gradient norm) at x_tilde, saved with it
     trace: Trace = field(default_factory=Trace)
     # small-gradient policy: perturb (False) or stop (True, set by rgd_baseline only)
     _stop: bool = field(default=False, init=False, repr=False)
@@ -316,12 +317,13 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
 
     In order: (1) if the gradient is at or below g_thres and the previous
     perturbation window has fully elapsed, apply the state's small-gradient
-    policy: `perturb` (run) saves the iterate and perturbs inside the tangent
-    ball of radius r; `stop` (rgd_baseline) records the step and terminates
-    at the first-order point; (2) if exactly t_thres steps have passed
-    since the last perturbation and f failed to drop by f_thres, terminate
-    with the saved iterate; (3) otherwise take a gradient step of geodesic
-    length min(eta * ||grad||, injectivity radius); (4) advance t.
+    policy: `perturb` (run) saves the iterate with its f and gradient norm and
+    perturbs inside the tangent ball of radius r; `stop` (rgd_baseline)
+    records the step and terminates at the first-order point; (2) if exactly
+    t_thres steps have passed since the last perturbation and f failed to drop
+    below the saved f by f_thres, terminate with the saved iterate; (3)
+    otherwise take a gradient step of geodesic length
+    min(eta * ||grad||, injectivity radius); (4) advance t.
 
     A step is a pure function of x's bytes, `thr` and `obj`, so it is replayed
     where it ran before: when x is an iterate in the state's memo whose regular
@@ -355,7 +357,7 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
             state.trace.append(fx, gnorm, 0.0, False)
             return _finish(STATUS_FIRST_ORDER, x, fx, gnorm, state.trace)
         state.t_noise = state.t
-        state.x_tilde = x
+        state.x_tilde, state.fg_tilde = x, (fx, gnorm)
         xi = man.sample_tangent_ball(x, thr.r, rng)
         x = man.exp(x, xi)
         perturbed = True
@@ -363,11 +365,9 @@ def prgd_step(state: OptState, thr: ThresholdSet, obj: Objective,
         gnorm = grad.norm()
 
     if (state.t - state.t_noise == thr.t_thres and state.x_tilde is not None
-            and fx - obj.value(state.x_tilde) > -thr.f_thres):
-        xt = state.x_tilde
-        f_out, g_out = obj.value_and_rgrad(xt)
+            and fx - state.fg_tilde[0] > -thr.f_thres):
         state.trace.append(fx, gnorm, 0.0, False)
-        return _finish(STATUS_SECOND_ORDER, xt, f_out, g_out.norm(), state.trace)
+        return _finish(STATUS_SECOND_ORDER, state.x_tilde, *state.fg_tilde, state.trace)
 
     if done is None or perturbed:
         x_next, eta_bar = clamped_step(man, x, grad, gnorm, thr.eta, obj._step_rows)

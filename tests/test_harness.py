@@ -275,6 +275,22 @@ class TestRunExperiment:
         assert out.exit_code == 2
         assert any("infeasible" in m for m in out.messages)
 
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = run_experiment(parse_config(MINIMAL_SPHERE), out_dir=str(taken))
+        assert out.exit_code == 2 and out.out_dir is None
+        assert [m.split(":")[0] for m in out.messages] == ["output directory not writable"]
+
+    def test_coupling_at_a_saddle_that_does_not_classify_is_skipped(self, tmp_path, capsys):
+        """With epsilon = 2, gamma = sqrt(rho_hat epsilon) exceeds the saddle's
+        |lambda_min| = 4, so the probe has no saddle to start from."""
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text(VERIFY_COUPLING + "epsilon = 2\n")
+        assert cli_main(["verify", str(cfg_path), "--out", str(tmp_path / "v")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "coupling: skipped (saddle_x classifies as 'second-order', expected 'saddle')"]
+
     def test_iteration_cap_exits_1(self, tmp_path):
         cfg = parse_config(MINIMAL_SPHERE + "max_iters = 5\n")
         out = run_experiment(cfg, out_dir=str(tmp_path / "o"))

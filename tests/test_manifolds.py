@@ -138,6 +138,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="sphere"):
             S3.dist(sphere_point(1, 0, 0), x4)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Euclidean(0), "n must be >= 1"),
+        (lambda: Oblique(0, 2), "need d >= 1 rows on spheres of dimension p >= 2"),
+        (lambda: Grassmann(3, 3), "need 1 <= k < n"),
+    ], ids=["euclidean", "oblique", "grassmann"])
+    def test_constructors_reject_sizes_out_of_range(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
     def test_nonpositive_ball_radius(self):
         x = sphere_point(1, 0, 0)
         with pytest.raises(ValueError, match="radius"):
@@ -744,16 +753,17 @@ def tangent_at_random_point(man, coords):
 
 
 def test_maps_call_no_numpy_wrapper():
-    """exp, log, dist, transport and project_tangent, the array kernels `_exp`
-    and `_project` behind them, the Weingarten kernel `_weingarten` of the
-    quadratic forms' Hessian, and the Grassmann kernels `principal_angles`
-    and `_qr_sign_fixed`, avoid the numpy calls whose Python wrappers cost
+    """exp, log, dist, transport and project_tangent, the kernels `_exp`,
+    `_log`, `_dist`, `_transport` and `_project` behind them, the Weingarten
+    kernel `_weingarten` of the quadratic forms' Hessian, and the Grassmann
+    kernels `principal_angles` and `_qr_sign_fixed`, avoid the numpy calls whose Python wrappers cost
     more than the arithmetic on small arrays.  Those include the `any` and
     `all` methods: a zero test is `np.count_nonzero`."""
     banned = {"np.linalg.norm", "np.linalg.svd", "np.linalg.qr", "np.linalg.inv",
               "np.clip", "np.any", "np.dot", "np.sum"}
     banned_methods = {"any", "all"}
-    maps = {"exp", "log", "dist", "transport", "project_tangent", "_exp", "_project", "_weingarten"}
+    maps = {"exp", "log", "dist", "transport", "project_tangent", "_exp", "_log", "_dist",
+            "_transport", "_project", "_weingarten"}
     kernels = {"principal_angles", "_qr_sign_fixed"}
     module = ast.parse(inspect.getsource(manifolds)).body
     walked = [(fn.name, fn) for fn in module if isinstance(fn, ast.FunctionDef) and fn.name in kernels]
@@ -763,7 +773,10 @@ def test_maps_call_no_numpy_wrapper():
             walked += [(f"{cls.name}.{fn.name}", fn) for fn in cls.body
                        if isinstance(fn, ast.FunctionDef) and fn.name in maps]
     assert {f"{c}.{k}" for c in ("Euclidean", "_UnitRows", "Grassmann")
-            for k in ("_exp", "_project", "_weingarten")} <= {name for name, _ in walked}
+            for k in ("_exp", "_log", "_transport", "_project", "_weingarten")} <= \
+        {name for name, _ in walked}
+    assert {"Euclidean._dist", "Sphere._dist", "Oblique._dist", "Grassmann._dist",
+            "Manifold.log", "Manifold.dist", "Manifold.transport"} <= {name for name, _ in walked}
     found = [f"{name}: {ast.unparse(node.func)}" for name, fn in walked for node in ast.walk(fn)
              if isinstance(node, ast.Call) and (
                  ast.unparse(node.func) in banned
@@ -808,25 +821,60 @@ FOREIGN = {Euclidean: (Euclidean(3), Sphere(3)), Sphere: (Sphere(3), Euclidean(3
            Oblique: (Oblique(3, 2), Grassmann(3, 2)), Grassmann: (Grassmann(3, 2), Oblique(3, 2))}
 
 
-@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
-def test_transport_rejects_a_base_point_from_another_manifold(cls):
+def map_cases(first, *more):
+    """Each manifold class with each map call: the `first` call keeps the bare
+    class id it had as the only call, the others are `<class>-<call>`."""
+    return [pytest.param(cls, call, id=cls.__name__ if call == first else f"{cls.__name__}-{call}")
+            for cls in Manifold.__subclasses__() for call in (first,) + more]
+
+
+# a call of every map with one foreign point, as its x or its y: x is the
+# foreign point, y a point of the manifold and w a tangent anchored at x
+FOREIGN_POINT_CALLS = {
+    "transport": lambda man, x, y, w: man.transport(x, y, w),
+    "transport-y": lambda man, x, y, w: man.transport(y, x, man.project_tangent(
+        y, np.zeros(man.shape))),
+    "log-x": lambda man, x, y, w: man.log(x, y),
+    "log-y": lambda man, x, y, w: man.log(y, x),
+    "dist-x": lambda man, x, y, w: man.dist(x, y),
+    "dist-y": lambda man, x, y, w: man.dist(y, x),
+    "project_tangent-x": lambda man, x, y, w: man.project_tangent(x, w.coords),
+}
+
+
+@pytest.mark.parametrize("cls, call", map_cases(*FOREIGN_POINT_CALLS))
+def test_transport_rejects_a_base_point_from_another_manifold(cls, call):
+    """Every map rejects a point of another manifold, x or y, with one message."""
     man, other = FOREIGN[cls]
     rng = np.random.default_rng(0)
     x, y = other.random_point(rng), man.random_point(rng)
     w = other.project_tangent(x, rng.standard_normal(other.shape))  # anchored at x: only x is wrong
     with pytest.raises(ValueError) as exc:
-        man.transport(x, y, w)
+        FOREIGN_POINT_CALLS[call](man, x, y, w)
     assert str(exc.value) == f"point on {other.name}, expected {man.name}"
 
 
-@pytest.mark.parametrize("cls", Manifold.__subclasses__(), ids=lambda c: c.__name__)
-def test_exp_rejects_a_tangent_anchored_at_another_point(cls):
+@pytest.mark.parametrize("cls, call", map_cases("exp", "transport"))
+def test_exp_rejects_a_tangent_anchored_at_another_point(cls, call):
+    """exp and transport reject a tangent anchored at another point of the manifold."""
     man = FOREIGN[cls][0]
     rng = np.random.default_rng(0)
     x, y = man.random_point(rng), man.random_point(rng)
     v = man.project_tangent(y, rng.standard_normal(man.shape))
     with pytest.raises(ValueError, match="tangent vector anchored at a different point"):
-        man.exp(x, v)
+        man.exp(x, v) if call == "exp" else man.transport(x, y, v)
+
+
+def test_no_manifold_class_defines_a_public_map():
+    """The five public maps have one body each, on `Manifold`: no class below
+    it, `_UnitRows` included, defines one."""
+    maps = {"exp", "log", "dist", "transport", "project_tangent"}
+    shipped = [c for c in vars(manifolds).values()
+               if isinstance(c, type) and issubclass(c, Manifold) and c is not Manifold]
+    below = {k for cls in shipped for k in cls.__mro__[:cls.__mro__.index(Manifold)]}
+    assert manifolds._UnitRows in below and len(shipped) == 4
+    assert {k.__name__: sorted(maps & set(vars(k))) for k in below} == \
+        {k.__name__: [] for k in below}
 
 
 class TestCoordsOwnership:

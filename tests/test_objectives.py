@@ -408,6 +408,16 @@ class TestQuadraticFormCache:
         with pytest.raises(ValueError):
             g[0, 0] = 1.0
 
+    def test_every_oracle_checks_the_point(self):
+        """value and ambient_grad reject a point of another manifold, as
+        value_and_rgrad and rgrad do, with the same message."""
+        obj = fig_objective()
+        x = Euclidean(3).point([2.0, 0.0, 0.0])
+        for oracle in (obj.value, obj.ambient_grad, obj.value_and_rgrad, obj.rgrad):
+            with pytest.raises(ValueError) as exc:
+                oracle(x)
+            assert str(exc.value) == "point on euclidean(3), expected sphere(3)", oracle
+
     def test_constructor_messages(self):
         with pytest.raises(ValueError, match="H must be square"):
             KPCA(np.zeros((2, 3)), 1)
@@ -628,6 +638,35 @@ class TestHessOperator:
         assert out.summary["iterations"] > 0
         assert fd_calls == []
 
+    def test_an_objective_of_its_own_binds_its_exact_hess(self, fd_calls):
+        """An objective that defines `exact_hess` itself gets it bound to x by
+        the default `_hess_at`, with its bits, and no finite differences."""
+
+        class SphereQuadratic(Objective):  # x^T diag(d) x, Hessian by hand
+            manifold = Sphere(3)
+
+            def value(self, x):
+                return float(x.coords @ (D_FIG * x.coords))
+
+            def ambient_grad(self, x):
+                return 2.0 * D_FIG * x.coords
+
+            def exact_hess(self, x, v):
+                w = 2.0 * D_FIG * v.coords - self.value(x) * 2.0 * v.coords
+                return self.manifold.project_tangent(x, w)
+
+        obj, x = SphereQuadratic(), saddle_point()
+        v = obj.manifold.tangent(x, [0.0, 0.6, 0.8])
+        op = objectives.hess_operator(obj, x)
+        assert bits(op(v).coords) == bits(obj.exact_hess(x, v).coords)
+        lam, _ = min_hess_eig(obj, x, 1e-10, np.random.default_rng(0))
+        assert lam == pytest.approx(-4.0, abs=1e-12)  # spectrum {2 (d_i - 1)}, i != 0
+        assert fd_calls == []
+
+    def test_diagonal_quadratic_rejects_a_diagonal_of_another_size(self):
+        with pytest.raises(ValueError, match=r"^diagonal of size 3 does not match sphere\(4\)$"):
+            DiagonalQuadratic([1.0, 2.0, 3.0], Sphere(4))
+
     def test_diagonal_quadratic_rejects_other_manifolds(self):
         class Line(Manifold):  # local, so it stays out of Manifold.__subclasses__() at collection
             name, shape = "line(3)", (3,)
@@ -794,6 +833,17 @@ class TestSmoothness:
                                   np.random.default_rng(0))
         assert len(calls) == 12
         assert (est.beta_hat.hex(), est.rho_hat.hex()) == (beta_hex, rho_hex)
+
+    def test_radius_at_the_injectivity_radius_raises(self):
+        with pytest.raises(ValueError, match="^radius must be below the injectivity radius$"):
+            estimate_smoothness(fig_objective(), saddle_point(), math.pi, 4,
+                                np.random.default_rng(0))
+
+    def test_all_pairs_degenerate_raises(self):
+        """Points within 1e-14 of the center are all closer than 1e-12."""
+        with pytest.raises(ValueError, match=r"^all sampled pairs degenerate \(distance < 1e-12\)$"):
+            estimate_smoothness(fig_objective(), saddle_point(), 1e-14, 4,
+                                np.random.default_rng(0))
 
     def test_requires_two_samples(self):
         with pytest.raises(ValueError, match="n_samples"):

@@ -133,6 +133,15 @@ class TestDeriveThresholds:
         with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {val}$"):
             AssumptionParams(**args)
 
+    @pytest.mark.parametrize("name, val, message", [
+        ("delta", 1.0, r"delta must lie in \(0, 1\)"), ("dim_d", 0, "dim_d must be >= 1"),
+    ])
+    def test_assumptions_reject_delta_and_dimension_out_of_range(self, name, val, message):
+        args = {"beta": 8.0, "rho": 8.0, "epsilon": 0.1, "delta": 0.1, "f_gap": 2.0,
+                "dim_d": 2, name: val}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AssumptionParams(**args)
+
 
 class TestPracticalThresholds:
     def test_documented_defaults(self):
@@ -391,6 +400,26 @@ class TestRun:
         target = min(man.dist(result.final_point, man.point([0.0, 1.0, 0.0])),
                      man.dist(result.final_point, man.point([0.0, -1.0, 0.0])))
         assert target <= 1e-3
+
+    def test_window_closes_read_the_saved_anchor_values(self):
+        """A perturbation saves f and the gradient norm of its anchor with it, so
+        a run never evaluates `value`: a window close compares with the saved
+        f, and the second-order stop returns the saved pair, with the bits
+        of the anchor's own evaluation."""
+        calls = []
+
+        class Counted(DiagonalQuadratic):
+            def value(self, x):
+                calls.append(x)
+                return super().value(x)
+
+        obj = Counted(D_FIG)
+        x0 = obj.manifold.point([1.0, 0.0, 0.0])
+        result = run(obj, x0, fig_thresholds(), 100_000, np.random.default_rng(7))
+        assert result.status == "second-order-point" and sum(result.trace.perturbed) >= 2
+        assert calls == []
+        f, g = fig_objective().value_and_rgrad(result.final_point)
+        assert (result.final_f, result.final_gradnorm) == (f, g.norm())
 
     def test_start_at_exact_minimum_terminates_after_one_window(self):
         obj = fig_objective()
