@@ -520,6 +520,11 @@ class Grassmann(Manifold):
     Points are orthonormal n x k representatives; tangents satisfy X^T V = 0.
     Exp and log are closed forms through the thin SVD of the tangent, and
     parallel transport along geodesics is exact, so isometric, in one formula.
+    Below a tangent norm of 1e-9, exp is x + v re-orthonormalized, as on the
+    sphere: there cos s = 1 and sin s = s for every singular value s
+    (`test_small_angle_identity_the_exp_kernel_relies_on`), so the closed form
+    is x + v in exact arithmetic, and skipping the SVD lets a step repeat its
+    iterate bit for bit.
 
     The curvature bound is 2 and the injectivity radius pi/2.
     """
@@ -543,9 +548,23 @@ class Grassmann(Manifold):
     def _exp(self, x, v):
         if not np.count_nonzero(v):
             return x
-        u, s, vt = _svd(v)
-        s = _row(s)
-        y = x @ (vt.mT * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
+        # |v| <= 1e-9 bounds every singular value s, where cos s = 1 and sin s = s
+        # (`test_small_angle_identity_the_exp_kernel_relies_on`): the closed form
+        # is x + v, less the rounding of its trip through V V^T.  A NaN or inf
+        # norm is not small and takes the SVD.
+        small = _norms(v, 2) <= 1e-9
+        n = np.count_nonzero(small)
+        if 0 < n < small.size:  # a stack with samples on both sides: each side alone
+            y = np.empty_like(x)
+            y[small] = self._exp(x[small], v[small])
+            y[~small] = self._exp(x[~small], v[~small])
+            return y
+        if n:
+            y = x + v
+        else:
+            u, s, vt = _svd(v)
+            s = _row(s)
+            y = x @ (vt.mT * np.cos(s)) @ vt + (u * np.sin(s)) @ vt
         return self._still(x, v, _qr_sign_fixed(y))
 
     def _log(self, x, y):

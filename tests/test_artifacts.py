@@ -35,9 +35,9 @@ PINNED = {
         "final_point.txt": "070fbe6c50833de274823b2d0a917d5351b3b0770d4d4a7670bc85ad46987850",
     }),
     "kpca-seed-0": ("configs/kpca.cfg", 0, None, {
-        "trace.csv": "b54c6ceaa46402c5c470026b357d0b082c4adb4884dec2e4965bc0458408035a",
-        "summary.txt": "acfa527fd063d9a83845cb1b9d31eb47ac024f5f60d8afe88dddd7f3f969f42c",
-        "final_point.txt": "456af57061e7ab451a747493b40b46798ea7f22381c5c80809b4281bf63d9c82",
+        "trace.csv": "e868c73b2e38314dc479daf3da97c6da182542147bddf31bc939864f71651ab5",
+        "summary.txt": "9225cc77e661f7e7e2f61b554e7139b1c3c35008bb5f4c98d9ac6de4cd7065c2",
+        "final_point.txt": "06673d552a834c434e5b8d1b352f84a099baae441ef482515d8ab541dd2e379d",
     }),
     "burer-monteiro-seed-7-5000-steps": ("configs/burer-monteiro.cfg", 7, 5000, {
         "trace.csv": "9a51e4ec3438bea67db3c2ddd0dc5723267393ca92f39c48bac471c949dedfb4",

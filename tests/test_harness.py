@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from geodescent import KPCA
 from geodescent.cli import main as cli_main
 from geodescent.harness import (
     ConfigError,
@@ -399,6 +400,24 @@ class TestRunExperiment:
         thr = practical_thresholds(10.0, 10.0, 1e-4, dim_d=2)
         lines = (tmp_path / "report_coupling.txt").read_text().splitlines()
         assert f"growth_threshold = {fmt(1.0 + thr.eta * thr.gamma / 2.0)}" in lines
+
+    def test_shipped_kpca_window_replays_at_seed_0(self, tmp_path, monkeypatch):
+        """The kpca confirmation window steps below 1e-9, where Grassmann `exp`
+        is x + v re-orthonormalized and repeats its iterate, so the step memo
+        replays steps: fewer gradients than iterations (one per iteration and
+        two more when every step was computed)."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        calls, original = [], KPCA.value_and_rgrad
+
+        def counting(obj, x):
+            calls.append(x)
+            return original(obj, x)
+
+        monkeypatch.setattr(KPCA, "value_and_rgrad", counting)
+        out = run_experiment(load_config(os.path.join(root, "configs", "kpca.cfg")),
+                             out_dir=str(tmp_path), seed=0)
+        assert out.exit_code == 0 and out.run_result.iterations == 8_756
+        assert len(calls) < out.run_result.iterations
 
     def test_random_start_is_drawn_from_the_seed(self, tmp_path):
         cfg = parse_config(MINIMAL_SPHERE + "x0 = random\n")

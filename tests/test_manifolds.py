@@ -373,6 +373,14 @@ def parent_qr_sign_fixed(y):
 def parent_grassmann_exp(x, v):
     if not np.any(v):
         return x
+    if np.linalg.norm(v) <= 1e-9:
+        return parent_qr_sign_fixed(x + v)
+    return closed_form_grassmann_exp(x, v)
+
+
+def closed_form_grassmann_exp(x, v):
+    """Edelman, Arias and Smith's closed form through the SVD of v, at any
+    tangent norm: `parent_grassmann_exp` below 1e-9 as well."""
     u, s, vt = np.linalg.svd(v, full_matrices=False)
     return parent_qr_sign_fixed(x @ (vt.T * np.cos(s)) @ vt + (u * np.sin(s)) @ vt)
 
@@ -715,16 +723,63 @@ class TestLeanKernelsSameBits:
             c[1, 2] = bad
             return c
 
+        tiny = v.coords * (1e-12 / 0.3)  # spoiled, only its norm, NaN or inf, is not below 1e-9
         for xc, yc, vc, wc in [(spoil(x.coords), y.coords, v.coords, w.coords),
                                (x.coords, spoil(y.coords), v.coords, w.coords),
-                               (x.coords, y.coords, spoil(v.coords), spoil(w.coords))]:
+                               (x.coords, y.coords, spoil(v.coords), spoil(w.coords)),
+                               (x.coords, y.coords, spoil(tiny), w.coords)]:
             xp = Point(man, xc)
             self.assert_grassmann_maps(man, xp, Point(man, yc), Tangent(xp, vc), Tangent(xp, wc), a)
+        # a non-finite norm is not <= 1e-9, so `exp` takes the SVD, as it did for every norm:
+        # NaN stops dgesdd, and an inf gives a NaN point
+        got = outcome(lambda: man.exp(x, Tangent(x, spoil(tiny))))
+        assert_same_bits(got, outcome(lambda: closed_form_grassmann_exp(x.coords, spoil(tiny))))
+        if np.isnan(bad):
+            assert got[0] == (np.linalg.LinAlgError, "SVD did not converge")
+        else:
+            assert np.isnan(got[0]).all()
         # NaN stops dgesdd in `dist`; an inf makes `dist` NaN, which fails the cut-locus guard
         got = outcome(lambda: man.log(x, Point(man, spoil(y.coords))))
         assert got[0] == ((np.linalg.LinAlgError, "SVD did not converge") if np.isnan(bad) else
                           (GeometryError, "log undefined: distance nan >= injectivity radius 1.5708 of grassmann(5,3)"))
         assert bool(got[1]) == np.isinf(bad)  # inf also warns on the way
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    def test_grassmann_exp_below_1e_9_takes_no_svd(self, stacked, monkeypatch):
+        """A tangent of norm at most 1e-9 steps to x + v re-orthonormalized,
+        without an SVD, and spans the subspace of the closed form's step; at
+        1e-6, alone or with small ones in a stack, `exp` runs the SVD."""
+        man = Grassmann(5, 3)
+        rng = np.random.default_rng(40)
+        xs, vs = [], []
+        for norm in (1e-300, 1e-12, 5e-10, 1e-9, 1e-6):
+            x = man.random_point(rng)
+            v = scaled_tangent(man, x, norm, rng).coords
+            while np.linalg.norm(v) > norm:  # a rounded norm just above 1e-9 takes the SVD
+                v = v * (1.0 - 2.0 ** -52)
+            xs.append(x)
+            vs.append(v)
+        want = [closed_form_grassmann_exp(x.coords, v) for x, v in zip(xs, vs)]
+
+        def no_svd(a):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(manifolds, "_svd", no_svd)
+        small = slice(0, 4)
+        if stacked:
+            x = Point(man, stack(man, xs[small]))
+            got = list(man.exp(x, Tangent(x, np.stack(vs[small]))).coords)
+        else:
+            got = [man.exp(x, Tangent(x, v)).coords for x, v in zip(xs[small], vs[small])]
+        for x, v, y, y_svd in zip(xs, vs, got, want):
+            assert np.array_equal(y, parent_qr_sign_fixed(x.coords + v))
+            # exact arithmetic differs by |v|^3 <= 1e-27; rounding in the two QRs and
+            # projectors reads up to 9.1 eps over 8,000 draws, 1e-300 tangents included
+            assert np.linalg.norm(y @ y.T - y_svd @ y_svd.T) <= 16 * np.finfo(float).eps
+        x = Point(man, stack(man, xs)) if stacked else xs[4]
+        v = Tangent(x, np.stack(vs) if stacked else vs[4])
+        with pytest.raises(AssertionError, match="the SVD ran"):
+            man.exp(x, v)
 
     def test_linalg_kernels_match_numpy_linalg(self):
         """The LAPACK kernels give numpy.linalg's bits, errors and warnings,
